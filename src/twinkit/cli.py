@@ -11,6 +11,7 @@ precondition errors, 2 when a bounded search ends inconclusive.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -28,14 +29,6 @@ class CliError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise CliError(message)
-
-
-def _capped_radius(radius: int, details: dict) -> int:
-    cap = os.environ.get(MAX_RADIUS_ENV)
-    if cap is not None and radius > int(cap):
-        details["radius_capped_to"] = int(cap)
-        return int(cap)
-    return radius
 
 
 def _parse_map(n: int, name: str) -> twisted.Endomap:
@@ -64,20 +57,15 @@ def _parse_map(n: int, name: str) -> twisted.Endomap:
     return phi
 
 
-def _emit(args, verdict, witness=None, normal_form=None, details=None) -> None:
-    details = details or {}
-    if args.output == "json":
-        print(
-            json.dumps(
-                {
-                    "verdict": verdict,
-                    "witness": witness,
-                    "normal_form": normal_form,
-                    "details": details,
-                },
-                sort_keys=True,
-            )
-        )
+def _emit(output, verdict, witness, normal_form, details) -> None:
+    if output == "json":
+        payload = {
+            "verdict": verdict,
+            "witness": witness,
+            "normal_form": normal_form,
+            "details": details,
+        }
+        print(json.dumps(payload, sort_keys=True))
     else:
         parts = [f"verdict={verdict}"]
         if normal_form is not None:
@@ -85,54 +73,197 @@ def _emit(args, verdict, witness=None, normal_form=None, details=None) -> None:
         if witness is not None:
             parts.append(f'witness="{witness}"')
         parts.extend(f'{k}="{v}"' if isinstance(v, str) else f"{k}={v}" for k, v in details.items())
-        print(" ".join(str(p) for p in parts))
+        print(" ".join(parts))
 
 
-def _add_word_command(sub, name, help_text, nargs=1):
+# Each handler takes the namespace plus the parsed maps and words its
+# subcommand declares, and returns (verdict, witness, normal_form, details).
+
+
+def _reduce(args, w):
+    nf = words.reduce(w)
+    return "ok", None, str(nf), {"length": len(nf)}
+
+
+def _equal(args, u, v):
+    return words.equal(u, v), None, str(words.reduce(u)), {}
+
+
+def _certificate(args, u, v):
+    moves = [
+        {"op": m.kind, "pos": m.pos, "letter": m.letter} for m in words.certificate(u, v).moves
+    ]
+    return "ok", None, None, {"moves": moves, "count": len(moves)}
+
+
+def _cyclic_reduce(args, w):
+    cr = conjugacy.cyclic_reduce(w)
+    return "ok", str(cr.conjugator), str(cr.representative), {"length": len(cr.representative)}
+
+
+def _conjugate(args, u, v):
+    verdict = conjugacy.conjugate(u, v)
+    witness = str(conjugacy.conjugating_witness(u, v)) if verdict and args.witness else None
+    return verdict, witness, None, {}
+
+
+def _destab(args, w):
+    if args.oracle:
+        res = markov.destabilize_oracle(w, markov.M3 if args.move == "m3" else markov.M4)
+    else:
+        res = (markov.destabilize_m3 if args.move == "m3" else markov.destabilize_m4)(w)
+    details = {"beta": str(res.beta), "i": res.index, "kind": res.kind} if res.found else {}
+    return res.found, None, None, details
+
+
+def _stab(args, w):
+    stabilize = markov.stabilize_m3 if args.move == "m3" else markov.stabilize_m4
+    out = stabilize(w, args.index)
+    return "ok", None, str(words.reduce(out)), {"word": str(out), "n": out.n}
+
+
+def _shift(args, w):
+    out = markov.m1_shift_inverse(w) if args.inverse else markov.m1_shift(w)
+    return "ok", None, str(out), {}
+
+
+def _split(args, w):
+    summary = doodle.split_check(w)
+    details = {
+        "reason": summary.split_reason,
+        "components": summary.components,
+        "note": "sufficient conditions only; False never certifies non-split",
+    }
+    return summary.split_certified, None, None, details
+
+
+def _components(args, w):
+    return doodle.closure_components(w), None, None, {}
+
+
+def _permutation(args, w):
+    return "ok", None, None, {"images": list(doodle.permutation_of(w).images)}
+
+
+def _pure(args, w):
+    return doodle.is_pure(w), None, None, {}
+
+
+def _aut(args, phi, w):
+    if args.action == "order":
+        return twisted.order_of(phi), None, None, {}
+    if w is None:
+        raise CliError(f"aut {args.action} needs a word argument")
+    result = twisted.apply(phi, w) if args.action == "apply" else twisted.norm(phi, w)
+    return "ok", None, str(result), {}
+
+
+def _twisted(args, phi, x, y):
+    verdict = twisted.twisted_conjugate(phi, x, y, args.radius)
+    norm_x, norm_y = verdict.norms
+    details = {"norm_x": str(norm_x), "norm_y": str(norm_y), "radius": args.radius}
+    witness = None if verdict.witness is None else str(verdict.witness)
+    return verdict.status, witness, None, details
+
+
+def _rinfty(args, phi):
+    family = twisted.rinfty_witness_family(args.n, phi, args.count)
+    return "ok", None, None, {"family": [str(x) for x in family]}
+
+
+def _endo(args, w=None):
+    m = endomorphisms.make_psi_n(args.n)
+    if args.endo_action == "apply":
+        return "ok", None, str(twisted.apply(m, w)), {}
+    if args.endo_action == "inject-test":
+        report = endomorphisms.injectivity_ball_test(m, args.radius)
+        details = {
+            "radius": args.radius,
+            "checked": report.elements_checked,
+            "counterexample": None if report.counterexample is None else str(report.counterexample),
+        }
+        return report.kernel_trivial, None, None, details
+    return "ok", None, None, {"parity": list(words.parity_vector(w))}
+
+
+def _ball(args):
+    ball = oracle.enumerate_ball(args.n, args.radius)
+    details = {"layer_counts": list(ball.layer_counts), "size": len(ball)}
+    if not args.counts_only:
+        details["elements"] = [str(nf) for nf in ball.elements]
+    return "ok", None, None, details
+
+
+def _render(args, w):
+    geometry = doodle.SvgGeometry(
+        strand_spacing=args.strand_spacing,
+        slot_height=args.slot_height,
+        stroke_width=args.stroke_width,
+    )
+    svg = doodle.render_svg(w, args.mode, geometry)
+    with open(args.out, "w", encoding="utf-8") as handle:
+        handle.write(svg)
+    return "ok", None, None, {"path": args.out, "bytes": len(svg.encode())}
+
+
+def _heisenberg_check(args):
+    report = twisted.heisenberg_counterexample()
+    verdict = report.norm_a_trivial and report.norm_b_trivial and not report.conjugator_found
+    return verdict, None, None, dataclasses.asdict(report)
+
+
+def _add_word_command(sub, name, help_text, run, *names):
+    names = names or ("word",)
     p = sub.add_parser(name, help=help_text)
     p.add_argument("--n", type=int, required=True, help="strand count (>= 2)")
-    if nargs == 1:
-        p.add_argument("word", type=str)
-    else:
-        for k in range(1, nargs + 1):
-            p.add_argument(f"word{k}", type=str)
+    for word in names:
+        p.add_argument(word, type=str)
+    p.set_defaults(run=run, words=names)
     return p
 
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="twinkit", description="twin group decision procedures")
     parser.add_argument("--output", choices=("text", "json"), default="text")
+    # Every subcommand sets ``run``; the rest are defaults that main reads.
+    parser.set_defaults(n=None, radius=None, maps=(), words=())
     sub = parser.add_subparsers(dest="command", required=True)
 
-    _add_word_command(sub, "reduce", "canonical normal form")
-    _add_word_command(sub, "equal", "word problem for two words", nargs=2)
-    _add_word_command(sub, "certificate", "elementary-move chain between equal words", nargs=2)
-    _add_word_command(sub, "cyclic-reduce", "cyclically reduced conjugacy representative")
+    _add_word_command(sub, "reduce", "canonical normal form", _reduce)
+    pair = ("word1", "word2")
+    _add_word_command(sub, "equal", "word problem for two words", _equal, *pair)
+    _add_word_command(
+        sub, "certificate", "elementary-move chain between equal words", _certificate, *pair
+    )
+    _add_word_command(
+        sub, "cyclic-reduce", "cyclically reduced conjugacy representative", _cyclic_reduce
+    )
 
-    p = _add_word_command(sub, "conjugate", "conjugacy decision", nargs=2)
+    p = _add_word_command(sub, "conjugate", "conjugacy decision", _conjugate, *pair)
     p.add_argument("--witness", action="store_true", help="also return a conjugator")
 
-    p = _add_word_command(sub, "destab", "destabilization decision")
+    p = _add_word_command(sub, "destab", "destabilization decision", _destab)
     p.add_argument("--move", choices=("m3", "m4"), required=True)
     p.add_argument("--oracle", action="store_true", help="use the parabolic-membership oracle")
 
-    p = _add_word_command(sub, "stab", "stabilize with a boundary chain")
+    p = _add_word_command(sub, "stab", "stabilize with a boundary chain", _stab)
     p.add_argument("--move", choices=("m3", "m4"), required=True)
     p.add_argument("--i", type=int, required=True, dest="index")
 
-    p = _add_word_command(sub, "shift", "strand shift (trivial strand across)")
+    p = _add_word_command(sub, "shift", "strand shift (trivial strand across)", _shift)
     p.add_argument("--inverse", action="store_true")
 
-    _add_word_command(sub, "split", "sufficient split-twin conditions")
-    _add_word_command(sub, "components", "closed curves in the closure")
-    _add_word_command(sub, "permutation", "strand permutation")
-    _add_word_command(sub, "pure", "kernel membership of the strand permutation")
+    _add_word_command(sub, "split", "sufficient split-twin conditions", _split)
+    _add_word_command(sub, "components", "closed curves in the closure", _components)
+    _add_word_command(sub, "permutation", "strand permutation", _permutation)
+    _add_word_command(sub, "pure", "kernel membership of the strand permutation", _pure)
 
     p = sub.add_parser("aut", help="automorphism operations")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("map", type=str, help="psi | tau | kappa | id | inn:<word>, joined by *")
     p.add_argument("action", choices=("order", "apply", "norm"))
     p.add_argument("word", type=str, nargs="?")
+    p.set_defaults(run=_aut, maps=("map",), words=("word",))
 
     p = sub.add_parser("twisted", help="twisted conjugacy decision")
     p.add_argument("--n", type=int, required=True)
@@ -140,26 +271,32 @@ def build_parser() -> _Parser:
     p.add_argument("--x", type=str, required=True)
     p.add_argument("--y", type=str, required=True)
     p.add_argument("--radius", type=int, default=twisted.DEFAULT_RADIUS)
+    p.set_defaults(run=_twisted, maps=("aut",), words=("x", "y"))
 
     p = sub.add_parser("rinfty", help="twisted-conjugacy witness family")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--aut", type=str, required=True)
     p.add_argument("--count", type=int, required=True)
+    p.set_defaults(run=_rinfty, maps=("aut",))
 
     p = sub.add_parser("endo", help="the doubling endomorphism")
     p.add_argument("--n", type=int, required=True)
+    p.set_defaults(run=_endo)
     endo_sub = p.add_subparsers(dest="endo_action", required=True)
     q = endo_sub.add_parser("apply")
     q.add_argument("word", type=str)
+    q.set_defaults(words=("word",))
     q = endo_sub.add_parser("inject-test")
     q.add_argument("--radius", type=int, required=True)
     q = endo_sub.add_parser("parity")
     q.add_argument("word", type=str)
+    q.set_defaults(words=("word",))
 
     p = sub.add_parser("ball", help="enumerate elements up to a length")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--radius", type=int, required=True)
     p.add_argument("--counts-only", action="store_true")
+    p.set_defaults(run=_ball)
 
     p = sub.add_parser("render", help="SVG diagram or closure")
     p.add_argument("--n", type=int, required=True)
@@ -169,237 +306,40 @@ def build_parser() -> _Parser:
     p.add_argument("--strand-spacing", type=int, default=doodle.DEFAULT_GEOMETRY.strand_spacing)
     p.add_argument("--slot-height", type=int, default=doodle.DEFAULT_GEOMETRY.slot_height)
     p.add_argument("--stroke-width", type=int, default=doodle.DEFAULT_GEOMETRY.stroke_width)
+    p.set_defaults(run=_render, words=("word",))
 
-    sub.add_parser("heisenberg-check", help="norm-converse counterexample report")
+    p = sub.add_parser("heisenberg-check", help="norm-converse counterexample report")
+    p.set_defaults(run=_heisenberg_check)
     return parser
-
-
-def _require_n(args) -> int:
-    if args.n < 2:
-        raise CliError(f"--n must be at least 2, got {args.n}")
-    return args.n
-
-
-def _run(args) -> int:
-    cmd = args.command
-    if cmd == "reduce":
-        n = _require_n(args)
-        nf = words.reduce(Word.parse(n, args.word))
-        _emit(args, "ok", normal_form=str(nf), details={"length": len(nf)})
-        return 0
-    if cmd == "equal":
-        n = _require_n(args)
-        u = Word.parse(n, args.word1)
-        v = Word.parse(n, args.word2)
-        _emit(args, words.equal(u, v), normal_form=str(words.reduce(u)))
-        return 0
-    if cmd == "certificate":
-        n = _require_n(args)
-        u = Word.parse(n, args.word1)
-        v = Word.parse(n, args.word2)
-        cert = words.certificate(u, v)
-        moves = [
-            {"op": m.kind, "pos": m.pos, "letter": m.letter} for m in cert.moves
-        ]
-        _emit(args, "ok", details={"moves": moves, "count": len(moves)})
-        return 0
-    if cmd == "cyclic-reduce":
-        n = _require_n(args)
-        cr = conjugacy.cyclic_reduce(Word.parse(n, args.word))
-        _emit(
-            args,
-            "ok",
-            witness=str(cr.conjugator),
-            normal_form=str(cr.representative),
-            details={"length": len(cr.representative)},
-        )
-        return 0
-    if cmd == "conjugate":
-        n = _require_n(args)
-        u = Word.parse(n, args.word1)
-        v = Word.parse(n, args.word2)
-        verdict = conjugacy.conjugate(u, v)
-        witness = None
-        if verdict and args.witness:
-            witness = str(conjugacy.conjugating_witness(u, v))
-        _emit(args, verdict, witness=witness)
-        return 0
-    if cmd == "destab":
-        n = _require_n(args)
-        w = Word.parse(n, args.word)
-        kind = markov.M3 if args.move == "m3" else markov.M4
-        if args.oracle:
-            res = markov.destabilize_oracle(w, kind)
-        elif kind == markov.M3:
-            res = markov.destabilize_m3(w)
-        else:
-            res = markov.destabilize_m4(w)
-        details = {}
-        if res.found:
-            details = {"beta": str(res.beta), "i": res.index, "kind": res.kind}
-        _emit(args, res.found, details=details)
-        return 0
-    if cmd == "stab":
-        n = _require_n(args)
-        w = Word.parse(n, args.word)
-        out = (
-            markov.stabilize_m3(w, args.index)
-            if args.move == "m3"
-            else markov.stabilize_m4(w, args.index)
-        )
-        _emit(
-            args,
-            "ok",
-            normal_form=str(words.reduce(out)),
-            details={"word": str(out), "n": out.n},
-        )
-        return 0
-    if cmd == "shift":
-        n = _require_n(args)
-        w = Word.parse(n, args.word)
-        out = markov.m1_shift_inverse(w) if args.inverse else markov.m1_shift(w)
-        _emit(args, "ok", normal_form=str(out))
-        return 0
-    if cmd == "split":
-        n = _require_n(args)
-        summary = doodle.split_check(Word.parse(n, args.word))
-        _emit(
-            args,
-            summary.split_certified,
-            details={
-                "reason": summary.split_reason,
-                "components": summary.components,
-                "note": "sufficient conditions only; False never certifies non-split",
-            },
-        )
-        return 0
-    if cmd == "components":
-        n = _require_n(args)
-        _emit(args, doodle.closure_components(Word.parse(n, args.word)))
-        return 0
-    if cmd == "permutation":
-        n = _require_n(args)
-        perm = doodle.permutation_of(Word.parse(n, args.word))
-        _emit(args, "ok", details={"images": list(perm.images)})
-        return 0
-    if cmd == "pure":
-        n = _require_n(args)
-        _emit(args, doodle.is_pure(Word.parse(n, args.word)))
-        return 0
-    if cmd == "aut":
-        n = _require_n(args)
-        phi = _parse_map(n, args.map)
-        if args.action == "order":
-            _emit(args, twisted.order_of(phi))
-            return 0
-        if args.word is None:
-            raise CliError(f"aut {args.action} needs a word argument")
-        w = Word.parse(n, args.word)
-        result = twisted.apply(phi, w) if args.action == "apply" else twisted.norm(phi, w)
-        _emit(args, "ok", normal_form=str(result))
-        return 0
-    if cmd == "twisted":
-        n = _require_n(args)
-        details = {}
-        radius = _capped_radius(args.radius, details)
-        phi = _parse_map(n, args.aut)
-        verdict = twisted.twisted_conjugate(
-            phi, Word.parse(n, args.x), Word.parse(n, args.y), radius
-        )
-        details.update(
-            {
-                "norm_x": str(verdict.norms[0]),
-                "norm_y": str(verdict.norms[1]),
-                "radius": radius,
-            }
-        )
-        _emit(
-            args,
-            verdict.status,
-            witness=None if verdict.witness is None else str(verdict.witness),
-            details=details,
-        )
-        return 2 if verdict.status == "inconclusive" else 0
-    if cmd == "rinfty":
-        n = _require_n(args)
-        phi = _parse_map(n, args.aut)
-        family = twisted.rinfty_witness_family(n, phi, args.count)
-        _emit(args, "ok", details={"family": [str(x) for x in family]})
-        return 0
-    if cmd == "endo":
-        n = _require_n(args)
-        m = endomorphisms.make_psi_n(n)
-        if args.endo_action == "apply":
-            nf = endomorphisms.psi_n_apply(m, Word.parse(n, args.word))
-            _emit(args, "ok", normal_form=str(nf))
-            return 0
-        if args.endo_action == "inject-test":
-            details = {}
-            radius = _capped_radius(args.radius, details)
-            report = endomorphisms.injectivity_ball_test(m, radius)
-            details.update(
-                {
-                    "radius": radius,
-                    "checked": report.elements_checked,
-                    "counterexample": None
-                    if report.counterexample is None
-                    else str(report.counterexample),
-                }
-            )
-            _emit(args, report.kernel_trivial, details=details)
-            return 0
-        bits = words.parity_vector(Word.parse(n, args.word))
-        _emit(args, "ok", details={"parity": list(bits)})
-        return 0
-    if cmd == "ball":
-        n = _require_n(args)
-        details = {}
-        radius = _capped_radius(args.radius, details)
-        ball = oracle.enumerate_ball(n, radius)
-        details.update({"layer_counts": list(ball.layer_counts), "size": len(ball)})
-        if not args.counts_only:
-            details["elements"] = [str(nf) for nf in ball.elements]
-        _emit(args, "ok", details=details)
-        return 0
-    if cmd == "render":
-        n = _require_n(args)
-        geometry = doodle.SvgGeometry(
-            strand_spacing=args.strand_spacing,
-            slot_height=args.slot_height,
-            stroke_width=args.stroke_width,
-        )
-        svg = doodle.render_svg(Word.parse(n, args.word), args.mode, geometry)
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(svg)
-        _emit(args, "ok", details={"path": args.out, "bytes": len(svg.encode())})
-        return 0
-    if cmd == "heisenberg-check":
-        report = twisted.heisenberg_counterexample()
-        _emit(
-            args,
-            report.norm_a_trivial and report.norm_b_trivial and not report.conjugator_found,
-            details={
-                "group_order": report.group_order,
-                "automorphism_order": report.automorphism_order,
-                "norm_a_trivial": report.norm_a_trivial,
-                "norm_b_trivial": report.norm_b_trivial,
-                "conjugator_found": report.conjugator_found,
-                "candidates_checked": report.candidates_checked,
-            },
-        )
-        return 0
-    raise CliError(f"unknown command {cmd!r}")
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return _run(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, RuntimeError, OSError) as exc:
+        n = args.n
+        if n is not None and n < 2:
+            raise CliError(f"--n must be at least 2, got {n}")
+        details = {}
+        if args.radius is not None and MAX_RADIUS_ENV in os.environ:
+            raw = os.environ[MAX_RADIUS_ENV]
+            try:
+                cap = int(raw)
+            except ValueError:
+                cap = None
+            if cap is None or cap < 0:
+                raise CliError(f"{MAX_RADIUS_ENV} must be a non-negative integer, got {raw!r}")
+            if args.radius > cap:
+                details["radius_capped_to"] = args.radius = cap
+        operands = [_parse_map(n, getattr(args, name)) for name in args.maps]
+        for name in args.words:
+            text = getattr(args, name)
+            operands.append(None if text is None else Word.parse(n, text))
+        verdict, witness, normal_form, extra = args.run(args, *operands)
+        details.update(extra)
+        _emit(args.output, verdict, witness, normal_form, details)
+        return 2 if verdict == "inconclusive" else 0
+    except (CliError, ValueError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -12,7 +12,7 @@ import itertools
 
 from .oracle import enumerate_ball
 from .twisted import Endomap, apply
-from .words import NormalForm, Word, parity_vector
+from .words import Word, parity_vector
 
 S2_BIT = 1  # position of the s_2 bit in a parity vector
 
@@ -25,11 +25,6 @@ def make_psi_n(n: int) -> Endomap:
         Word(n, (2, 1, 2)) if i == 2 else Word(n, (i,)) for i in range(1, n)
     )
     return Endomap(n, images, "psi_n")
-
-
-def psi_n_apply(m: Endomap, w: Word) -> NormalForm:
-    """Image normal form under the doubling endomorphism."""
-    return apply(m, w)
 
 
 @dataclasses.dataclass(frozen=True)

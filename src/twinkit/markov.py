@@ -178,12 +178,8 @@ def destabilize_m4(a: Word) -> DestabilizationResult:
     res = destabilize_m3(_mirror(a))
     if not res.found:
         return DestabilizationResult(False)
-    beta = Word(a.n - 1, normal_letters(_mirror_letters(res.beta), a.n - 1))
+    beta = Word(a.n - 1, normal_letters(_mirror(res.beta).letters, a.n - 1))
     return DestabilizationResult(True, beta, a.n - res.index, M4)
-
-
-def _mirror_letters(w: Word) -> tuple[int, ...]:
-    return tuple(w.n - x for x in w.letters)
 
 
 def destabilize_oracle(a: Word, kind: str) -> DestabilizationResult:

@@ -14,8 +14,8 @@ import dataclasses
 import itertools
 
 from .conjugacy import conjugate
-from .oracle import enumerate_ball
-from .words import NormalForm, Word, equal, inverse, multiply, normal_letters
+from .oracle import twisted_witness_search
+from .words import NormalForm, Word, normal_letters
 
 ORDER_CAP = 24
 DEFAULT_RADIUS = 6
@@ -162,12 +162,8 @@ def twisted_conjugate(
     ny = norm(phi, y)
     if not conjugate(nx.word, ny.word):
         return TwistedConjugacyVerdict("not_equivalent", None, (nx, ny))
-    for nf in enumerate_ball(phi.n, radius).elements:
-        g = nf.word
-        candidate = multiply(multiply(g, y), inverse(apply(phi, g).word))
-        if equal(candidate, x):
-            return TwistedConjugacyVerdict("equivalent", g, (nx, ny))
-    return TwistedConjugacyVerdict("inconclusive", None, (nx, ny))
+    g = twisted_witness_search(phi, x, y, radius)
+    return TwistedConjugacyVerdict("inconclusive" if g is None else "equivalent", g, (nx, ny))
 
 
 def outer_closure(n: int) -> tuple[Endomap, ...]:

@@ -15,7 +15,6 @@ from twinkit.endomorphisms import (
     injectivity_ball_test,
     make_psi_n,
     non_surjectivity_witness,
-    psi_n_apply,
 )
 from twinkit.markov import (
     M3,
@@ -32,6 +31,7 @@ from twinkit.oracle import (
     reduced_representatives,
 )
 from twinkit.twisted import (
+    apply,
     compose,
     heisenberg_counterexample,
     make_kappa,
@@ -212,8 +212,8 @@ def test_criterion_10_cohopf_evidence():
     m3 = make_psi_n(3)
     for m in range(11):
         base = Word(3, (1, 2) * m)
-        assert psi_n_apply(m3, base).letters == (1, 2) * (2 * m)
-        assert psi_n_apply(m3, base * Word(3, (1,))).letters == (1, 2) * (2 * m) + (1,)
+        assert apply(m3, base).letters == (1, 2) * (2 * m)
+        assert apply(m3, base * Word(3, (1,))).letters == (1, 2) * (2 * m) + (1,)
     for n in (3, 4, 5):
         report = non_surjectivity_witness(make_psi_n(n))
         assert report.generator_images_even
@@ -222,7 +222,7 @@ def test_criterion_10_cohopf_evidence():
         assert report.target_outside_image
     m4 = make_psi_n(4)
     for nf in enumerate_ball(4, 5).elements:
-        assert parity_vector(psi_n_apply(m4, nf.word).word)[1] == 0
+        assert parity_vector(apply(m4, nf.word).word)[1] == 0
     clock.done()
 
 

@@ -204,3 +204,21 @@ def test_help_does_not_crash(capsys, flag):
         main([flag])
     assert exc.value.code == 0
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("value", ["abc", "-1"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["ball", "--n", "3", "--radius", "4"],
+        ["twisted", "--n", "3", "--aut", "psi", "--x", "s1", "--y", "s2", "--radius", "4"],
+    ],
+)
+def test_invalid_radius_env_is_named(capsys, monkeypatch, argv, value):
+    monkeypatch.setenv("TWINKIT_MAX_RADIUS", value)
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: TWINKIT_MAX_RADIUS must be a non-negative integer, got {value!r}\n"
+    )
