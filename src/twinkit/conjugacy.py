@@ -18,7 +18,6 @@ from .words import (
     NormalForm,
     Word,
     _canonical_letters,
-    _is_reduced_letters,
     _reduce_letters,
     commutes,
     inverse,
@@ -43,7 +42,7 @@ class CyclicReduction:
 
 def _first_unreduced_rotation(letters) -> int | None:
     for t in range(len(letters)):
-        if not _is_reduced_letters(letters[t:] + letters[:t]):
+        if len(_reduce_letters(letters[t:] + letters[:t])) < len(letters):
             return t
     return None
 
@@ -61,14 +60,14 @@ def cyclic_reduce(w: Word) -> CyclicReduction:
     loop by the input length.
     """
     n = w.n
-    cur = normal_letters(w.letters, n)
+    cur = normal_letters(w.letters)
     conj: list[int] = []
     while True:
         t = _first_unreduced_rotation(cur)
         if t is None:
             break
         conj = _reduce_letters(conj + list(cur[:t]))
-        cur = _canonical_letters(_reduce_letters(cur[t:] + cur[:t]), n)
+        cur = _canonical_letters(_reduce_letters(cur[t:] + cur[:t]))
     return CyclicReduction(NormalForm(Word(n, cur)), Word(n, tuple(conj)))
 
 
@@ -159,8 +158,8 @@ def conjugating_witness(u: Word, v: Word) -> Word:
     letters = (
         cu.conjugator.letters + tuple(g_star) + cv.conjugator.letters[::-1]
     )
-    g = Word(n, normal_letters(letters, n))
+    g = Word(n, normal_letters(letters))
     check = reduce(multiply(multiply(g, v), inverse(g)))
-    if check.letters != normal_letters(u.letters, n):
+    if check.letters != normal_letters(u.letters):
         raise AssertionError("conjugating witness failed verification")
     return g

@@ -66,7 +66,7 @@ def m1_shift(a: Word) -> Word:
     Requires the reduced form of ``a`` to avoid the top generator.
     """
     top = a.n - 1
-    red = normal_letters(a.letters, a.n)
+    red = normal_letters(a.letters)
     if top in red:
         raise ValueError(f"word uses s{top}, cannot shift up on {a.n} strands")
     return Word(a.n, tuple(x + 1 for x in red))
@@ -74,7 +74,7 @@ def m1_shift(a: Word) -> Word:
 
 def m1_shift_inverse(a: Word) -> Word:
     """Replace I x beta by beta x I: decrement every index by one."""
-    red = normal_letters(a.letters, a.n)
+    red = normal_letters(a.letters)
     if 1 in red:
         raise ValueError("word uses s1, cannot shift down")
     return Word(a.n, tuple(x - 1 for x in red))
@@ -133,7 +133,7 @@ def destabilize_m3(a: Word) -> DestabilizationResult:
     if a.n < 3:
         raise ValueError("destabilization needs at least 3 strands")
     top = a.n - 1
-    rho = normal_letters(a.letters, a.n)
+    rho = normal_letters(a.letters)
     positions = [k for k, x in enumerate(rho) if x == top]
     count = len(positions)
     if count == 0 or count >= 3:
@@ -144,7 +144,7 @@ def destabilize_m3(a: Word) -> DestabilizationResult:
         tail = rho[p + 1 :]
         if (top - 1) in tail:
             return DestabilizationResult(False)
-        beta = Word(n, normal_letters(rho[:p] + tail, n))
+        beta = Word(n, normal_letters(rho[:p] + tail))
         return DestabilizationResult(True, beta, n, M3)
     p, q = positions
     prefix = list(rho[:p])
@@ -161,7 +161,7 @@ def destabilize_m3(a: Word) -> DestabilizationResult:
         return DestabilizationResult(False)
     if any(x > i - 2 for x in suffix):
         return DestabilizationResult(False)
-    beta = Word(n, normal_letters(tuple(prefix) + tuple(suffix), n))
+    beta = Word(n, normal_letters(tuple(prefix) + tuple(suffix)))
     return DestabilizationResult(True, beta, i, M3)
 
 
@@ -178,7 +178,7 @@ def destabilize_m4(a: Word) -> DestabilizationResult:
     res = destabilize_m3(_mirror(a))
     if not res.found:
         return DestabilizationResult(False)
-    beta = Word(a.n - 1, normal_letters(_mirror(res.beta).letters, a.n - 1))
+    beta = Word(a.n - 1, normal_letters(_mirror(res.beta).letters))
     return DestabilizationResult(True, beta, a.n - res.index, M4)
 
 
@@ -202,7 +202,7 @@ def destabilize_oracle(a: Word, kind: str) -> DestabilizationResult:
         else:
             product = reduce(multiply(a, m4_chain(n, i)))
             if 1 not in product.letters:
-                beta = Word(n, normal_letters(tuple(x - 1 for x in product.letters), n))
+                beta = Word(n, normal_letters(tuple(x - 1 for x in product.letters)))
                 return DestabilizationResult(True, beta, i, M4)
     return DestabilizationResult(False)
 

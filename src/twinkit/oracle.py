@@ -93,7 +93,7 @@ def enumerate_ball(n: int, radius: int, cap: int | None = None) -> Ball:
         grown = set()
         for word in layers[k]:
             for s in range(1, n):
-                child = normal_letters(word + (s,), n)
+                child = normal_letters(word + (s,))
                 if len(child) == k + 1:
                     grown.add(child)
         if not grown:

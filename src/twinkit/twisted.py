@@ -41,14 +41,14 @@ class Endomap:
             if img.n != self.n:
                 raise ValueError("image strand count mismatch")
         for i, img in enumerate(self.images, start=1):
-            if normal_letters(img.letters + img.letters, self.n):
+            if normal_letters(img.letters + img.letters):
                 raise ValueError(f"image of s{i} is not an involution")
         for i, j in itertools.combinations(range(1, self.n), 2):
             if j - i < 2:
                 continue
             a = self.images[i - 1].letters
             b = self.images[j - 1].letters
-            if normal_letters(a + b + a[::-1] + b[::-1], self.n):
+            if normal_letters(a + b + a[::-1] + b[::-1]):
                 raise ValueError(f"images of s{i} and s{j} do not commute")
 
 
@@ -85,7 +85,7 @@ def make_inner(g: Word) -> Endomap:
     n = g.n
     rev = g.letters[::-1]
     images = tuple(
-        Word(n, normal_letters(g.letters + (i,) + rev, n)) for i in range(1, n)
+        Word(n, normal_letters(g.letters + (i,) + rev)) for i in range(1, n)
     )
     return Endomap(n, images, f"inn({g})")
 
@@ -97,7 +97,7 @@ def apply(phi: Endomap, w: Word) -> NormalForm:
     letters: list[int] = []
     for x in w.letters:
         letters.extend(phi.images[x - 1].letters)
-    return NormalForm(Word(w.n, normal_letters(letters, w.n)))
+    return NormalForm(Word(w.n, normal_letters(letters)))
 
 
 def compose(phi: Endomap, chi: Endomap) -> Endomap:
@@ -112,13 +112,13 @@ def endo_equal(phi: Endomap, chi: Endomap) -> bool:
     if phi.n != chi.n:
         return False
     return all(
-        normal_letters(a.letters, phi.n) == normal_letters(b.letters, phi.n)
+        normal_letters(a.letters) == normal_letters(b.letters)
         for a, b in zip(phi.images, chi.images)
     )
 
 
 def _image_key(phi: Endomap) -> tuple[tuple[int, ...], ...]:
-    return tuple(normal_letters(img.letters, phi.n) for img in phi.images)
+    return tuple(normal_letters(img.letters) for img in phi.images)
 
 
 def order_of(phi: Endomap) -> int:
@@ -140,7 +140,7 @@ def norm(phi: Endomap, x: Word) -> NormalForm:
     for _ in range(k - 1):
         piece = apply(phi, piece).word
         letters.extend(piece.letters)
-    return NormalForm(Word(x.n, normal_letters(letters, x.n)))
+    return NormalForm(Word(x.n, normal_letters(letters)))
 
 
 @dataclasses.dataclass(frozen=True)

@@ -65,7 +65,7 @@ class Word:
         letters = []
         for tok in tokens:
             body = tok[1:] if tok.startswith("s") else tok
-            if not body.isdigit():
+            if not (body.isascii() and body.isdigit()):
                 raise ValueError(f"bad generator token {tok!r}")
             letters.append(int(body))
         return cls(n, tuple(letters))
@@ -123,9 +123,12 @@ def inverse(w: Word) -> Word:
     return w.inverse()
 
 
-def _reduce_letters(letters) -> list[int]:
+def _reduce_letters(letters, moves: list[Move] | None = None) -> list[int]:
     # Left-to-right stack scan: an incoming letter cancels the nearest equal
     # letter reachable backwards through commuting letters, else is appended.
+    # ``moves`` receives the flips that carry the cancelled letter up to the
+    # incoming one and the deletion of the pair, positions taken in the word
+    # ``out + rest of input``.
     out: list[int] = []
     for x in letters:
         k = len(out) - 1
@@ -139,63 +142,64 @@ def _reduce_letters(letters) -> list[int]:
                 break
             k -= 1
         if cancel >= 0:
+            if moves is not None:
+                moves.extend(Move("flip", m) for m in range(cancel, len(out) - 1))
+                moves.append(Move("delete", len(out) - 1, x))
             del out[cancel]
         else:
             out.append(x)
     return out
 
 
-def _canonical_letters(letters, n: int) -> tuple[int, ...]:
+def _canonical_letters(letters, moves: list[Move] | None = None) -> tuple[int, ...]:
     # Greedy trace normal form of a reduced word: repeatedly emit the least
-    # letter that commutes with everything before it.
+    # letter that commutes with everything before it (``seen[x] == t``: s_x
+    # occurs earlier in the remainder during pick t).  ``moves`` receives the
+    # flips that carry each pick to the front of the remainder.  The inner
+    # loop counts positions by hand: it is the hot path of ball enumeration,
+    # and ``enumerate`` costs about a tenth more there.
     rem = list(letters)
+    if not rem:
+        return ()
+    top = max(rem) + 1
+    seen = [-1] * (top + 1)
     out: list[int] = []
-    while rem:
-        blocked = [False] * (n + 2)
-        best = n
-        best_pos = -1
-        for pos, x in enumerate(rem):
-            if not (blocked[x - 1] or blocked[x] or blocked[x + 1]) and x < best:
+    for t in range(len(rem)):
+        best = top
+        best_pos = pos = 0
+        for x in rem:
+            if x < best and seen[x - 1] != t and seen[x] != t and seen[x + 1] != t:
                 best = x
                 best_pos = pos
-            blocked[x] = True
-        out.append(rem[best_pos])
-        del rem[best_pos]
+            seen[x] = t
+            pos += 1
+        if moves is not None:
+            moves.extend(Move("flip", j) for j in range(t + best_pos - 1, t - 1, -1))
+        out.append(rem.pop(best_pos))
     return tuple(out)
 
 
-def normal_letters(letters, n: int) -> tuple[int, ...]:
+def normal_letters(letters) -> tuple[int, ...]:
     """Canonical letter tuple of the element spelled by ``letters``."""
-    return _canonical_letters(_reduce_letters(letters), n)
+    return _canonical_letters(_reduce_letters(letters))
 
 
 def reduce(w: Word) -> NormalForm:
     """Canonical normal form of the element represented by ``w``."""
-    return NormalForm(Word(w.n, normal_letters(w.letters, w.n)))
-
-
-def _is_reduced_letters(letters) -> bool:
-    last: dict[int, int] = {}
-    for q, x in enumerate(letters):
-        p = last.get(x)
-        if p is not None:
-            if not any(abs(letters[m] - x) == 1 for m in range(p + 1, q)):
-                return False
-        last[x] = q
-    return True
+    return NormalForm(Word(w.n, normal_letters(w.letters)))
 
 
 def is_reduced(w: Word) -> bool:
-    """Shortest-length criterion: between any two occurrences of s_i there
-    is at least one s_{i-1} or s_{i+1}."""
-    return _is_reduced_letters(w.letters)
+    """Whether no chain of elementary transformations shortens ``w``: the
+    reduction scan cancels nothing."""
+    return len(_reduce_letters(w.letters)) == len(w.letters)
 
 
 def equal(u: Word, v: Word) -> bool:
     """Whether u and v represent the same group element."""
     if u.n != v.n:
         raise ValueError(f"strand counts differ: {u.n} vs {v.n}")
-    return normal_letters(u.letters, u.n) == normal_letters(v.letters, v.n)
+    return normal_letters(u.letters) == normal_letters(v.letters)
 
 
 def flip_equivalent(u: Word, v: Word) -> bool:
@@ -206,7 +210,7 @@ def flip_equivalent(u: Word, v: Word) -> bool:
         raise ValueError("flip equivalence is only defined for reduced words")
     if len(u.letters) != len(v.letters):
         return False
-    return _canonical_letters(u.letters, u.n) == _canonical_letters(v.letters, v.n)
+    return _canonical_letters(u.letters) == _canonical_letters(v.letters)
 
 
 def support(w: Word) -> frozenset[int]:
@@ -286,63 +290,24 @@ class MoveCertificate:
         return "; ".join(str(m) for m in self.moves) if self.moves else "(empty)"
 
 
-def _moves_to_normal(letters) -> tuple[list[int], list[Move]]:
-    # Phase 1: cancel equal pairs joined by commuting letters, realised as
-    # flips that bring the pair together followed by one deletion.
-    work = list(letters)
-    moves: list[Move] = []
-    while True:
-        found = None
-        for q in range(len(work)):
-            for p in range(q - 1, -1, -1):
-                if work[p] == work[q] and all(
-                    commutes(work[m], work[q]) for m in range(p + 1, q)
-                ):
-                    found = (p, q)
-                    break
-            if found:
-                break
-        if not found:
-            break
-        p, q = found
-        for m in range(p, q - 1):
-            moves.append(Move("flip", m))
-            work[m], work[m + 1] = work[m + 1], work[m]
-        moves.append(Move("delete", q - 1, work[q - 1]))
-        del work[q - 1 : q + 1]
-    # Phase 2: sort into the canonical form with flips.
-    for t in range(len(work)):
-        best_pos = t
-        best = None
-        for pos in range(t, len(work)):
-            x = work[pos]
-            if all(commutes(work[j], x) for j in range(t, pos)):
-                if best is None or x < best:
-                    best = x
-                    best_pos = pos
-        for j in range(best_pos - 1, t - 1, -1):
-            moves.append(Move("flip", j))
-            work[j], work[j + 1] = work[j + 1], work[j]
-    return work, moves
-
-
 def certificate(u: Word, v: Word) -> MoveCertificate:
     """Explicit elementary-transformation chain turning ``u`` into ``v``.
 
-    Both words are driven to the shared normal form while recording moves;
-    the v-side moves are then inverted and reversed, so replaying the chain
-    on ``u`` yields exactly the letter sequence of ``v``.
+    The reduction and normal-form scans record their moves while driving
+    both words to the shared normal form; the v-side moves are then inverted
+    and reversed, so replaying the chain on ``u`` yields exactly the letter
+    sequence of ``v``.  The chain has O(L^2) moves for words of length L.
     """
-    if not equal(u, v):
+    if u.n != v.n:
+        raise ValueError(f"strand counts differ: {u.n} vs {v.n}")
+    forward: list[Move] = []
+    backward: list[Move] = []
+    nu = _canonical_letters(_reduce_letters(u.letters, forward), forward)
+    nv = _canonical_letters(_reduce_letters(v.letters, backward), backward)
+    if nu != nv:
         raise ValueError("words are not equal as group elements")
-    _, forward = _moves_to_normal(u.letters)
-    _, backward = _moves_to_normal(v.letters)
-    inverted = []
-    for move in reversed(backward):
-        if move.kind == "delete":
-            inverted.append(Move("insert", move.pos, move.letter))
-        elif move.kind == "insert":
-            inverted.append(Move("delete", move.pos, move.letter))
-        else:
-            inverted.append(move)
-    return MoveCertificate(u, v, tuple(forward) + tuple(inverted))
+    inverted = [
+        Move("insert", m.pos, m.letter) if m.kind == "delete" else m
+        for m in reversed(backward)
+    ]
+    return MoveCertificate(u, v, tuple(forward + inverted))

@@ -222,3 +222,25 @@ def test_invalid_radius_env_is_named(capsys, monkeypatch, argv, value):
     assert captured.err == (
         f"error: TWINKIT_MAX_RADIUS must be a non-negative integer, got {value!r}\n"
     )
+
+
+@pytest.mark.parametrize("output", ["text", "json"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["reduce", "s3 s1 s4 s3 s2"],
+        ["equal", "s1 s3", "s3 s1"],
+        ["certificate", "s4 s1 s4 s2", "s1 s2"],
+        ["cyclic-reduce", "s1 s2 s3 s2 s1"],
+        ["conjugate", "s1 s2", "s2 s1", "--witness"],
+    ],
+)
+def test_huge_strand_count_matches_small(capsys, argv, output):
+    # the word scans are sized by the letters, never by --n
+    cmd, *rest = argv
+    outputs = []
+    for n in (5, 10**18):
+        code = main(["--output", output, cmd, "--n", str(n), *rest])
+        assert code == 0
+        outputs.append(capsys.readouterr())
+    assert outputs[0] == outputs[1]

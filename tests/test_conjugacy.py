@@ -31,6 +31,13 @@ def test_cyclic_reduce_examples():
     assert cr.conjugator.letters == ()
     cr = cyclic_reduce(W(3, "s1 s1"))
     assert cr.representative.letters == ()
+    for n, w, rep, conj in [
+        (6, "s1 s2 s3 s4 s5 s4 s3 s2 s1", (5,), (1, 2, 3, 4)),
+        (6, "s2 s1 s3 s5 s2", (1, 3, 5), (2,)),
+        (5, "s1 s3 s2 s1 s3", (2,), (1, 3)),
+    ]:
+        cr = cyclic_reduce(W(n, w))
+        assert (cr.representative.letters, cr.conjugator.letters) == (rep, conj)
 
 
 def test_cyclic_reduce_relation_holds():

@@ -1,9 +1,11 @@
 """The brute-force oracle: BFS equality, ball enumeration, witness searches."""
 
 import itertools
+import random
 
 import pytest
 
+from twinkit.conjugacy import is_cyclically_reduced
 from twinkit.doodle import permutation_of
 from twinkit.oracle import (
     bfs_equal,
@@ -13,7 +15,7 @@ from twinkit.oracle import (
     twisted_witness_search,
 )
 from twinkit.twisted import identity_endomap
-from twinkit.words import equal, inverse, reduce
+from twinkit.words import Word, certificate, equal, inverse, is_reduced, reduce
 
 from util import W, all_words
 
@@ -38,6 +40,38 @@ def test_bfs_agrees_with_equal_on_balls():
             for v in elements:
                 oracle = not reps[u.letters].isdisjoint(reps[v.letters])
                 assert oracle == equal(u, v)
+
+
+def test_reducedness_and_certificates_refereed_at_six_to_eight_strands():
+    # is_reduced and the rotation check both answer through the reduction
+    # scan; the closure's shortest length referees them where far
+    # commutation bites.
+    rng = random.Random(29)
+
+    def shortest(n, letters):
+        return len(next(iter(reduced_representatives(Word(n, letters)))))
+
+    for _ in range(400):
+        n = rng.randint(6, 8)
+        w = tuple(rng.randint(1, n - 1) for _ in range(rng.randint(0, 10)))
+        assert is_reduced(Word(n, w)) == (shortest(n, w) == len(w))
+        assert is_cyclically_reduced(Word(n, w)) == all(
+            shortest(n, w[t:] + w[:t]) == len(w) for t in range(len(w))
+        )
+    for _ in range(200):
+        n = rng.randint(6, 8)
+        u = [rng.randint(1, n - 1) for _ in range(rng.randint(0, 20))]
+        v = list(u)
+        while len(v) < 39:
+            x = rng.randint(1, n - 1)
+            p = rng.randint(0, len(v))
+            v[p:p] = [x, x]
+        for _ in range(100):
+            p = rng.randint(0, len(v) - 2)
+            if abs(v[p] - v[p + 1]) >= 2:
+                v[p], v[p + 1] = v[p + 1], v[p]
+        cert = certificate(Word(n, tuple(u)), Word(n, tuple(v)))
+        assert cert.apply_to(Word(n, tuple(u))).letters == tuple(v)
 
 
 def test_ball_small_counts():

@@ -40,6 +40,10 @@ def test_parse_and_format_round_trip():
         W(4, "sx")
     with pytest.raises(ValueError):
         W(3, "s3")
+    # only ASCII digits: int() would read both of these
+    for text in ("s\u0661", "s\u00b2"):
+        with pytest.raises(ValueError, match="bad generator token"):
+            W(4, text)
 
 
 def test_multiply_examples():
@@ -187,6 +191,23 @@ def test_certificate_examples():
     assert cert.apply_to(W(6, "s4 s1")).letters == (1, 4)
     cert = certificate(W(4, "s2 s1 s3 s2 s2 s3"), W(4, "s2 s1"))
     assert cert.apply_to(W(4, "s2 s1 s3 s2 s2 s3")).letters == (2, 1)
+    # exact chains, not only valid ones: callers display and store them
+    for n, u, v, chain in [
+        (6, "s3 s1 s5 s3", "s1 s5", "flip@0; flip@1; delete@2(s3)"),
+        (
+            6,
+            "s4 s1 s2 s4 s2",
+            "s4 s1 s4",
+            "flip@0; flip@1; delete@2(s4); delete@1(s2); insert@1(s4); flip@0",
+        ),
+        (
+            5,
+            "s1 s3 s2 s2 s1 s3",
+            "s2 s2",
+            "delete@2(s2); flip@0; delete@1(s1); delete@0(s3); insert@0(s2)",
+        ),
+    ]:
+        assert str(certificate(W(n, u), W(n, v))) == chain
 
 
 def test_certificate_replay_exhaustive_small():
