@@ -17,7 +17,7 @@ import functools
 from .words import (
     NormalForm,
     Word,
-    _canonical_letters,
+    _last_occurrences,
     _reduce_letters,
     commutes,
     inverse,
@@ -41,10 +41,30 @@ class CyclicReduction:
 
 
 def _first_unreduced_rotation(letters) -> int | None:
-    for t in range(len(letters)):
-        if len(_reduce_letters(letters[t:] + letters[:t])) < len(letters):
-            return t
-    return None
+    # The least t whose rotation letters[t:] + letters[:t] is unreduced, or
+    # None; 0 for an unreduced word.  For a reduced word, rotation t is
+    # unreduced iff some x has a minimal first occurrence i < t (no s_{x-1},
+    # s_x or s_{x+1} before it) and a maximal last occurrence j >= t (none
+    # after it): the rotation brings the two together across the seam.
+    last = _last_occurrences(letters)
+    if last is None:
+        return 0
+    first: dict[int, int] = {}
+    for i, x in enumerate(letters):
+        first.setdefault(x, i)
+    never = len(letters)
+    return min(
+        (
+            i + 1
+            for x, i in first.items()
+            if i < last[x]
+            and i < first.get(x - 1, never)
+            and i < first.get(x + 1, never)
+            and last[x] > last.get(x - 1, -1)
+            and last[x] > last.get(x + 1, -1)
+        ),
+        default=None,
+    )
 
 
 def is_cyclically_reduced(w: Word) -> bool:
@@ -67,7 +87,7 @@ def cyclic_reduce(w: Word) -> CyclicReduction:
         if t is None:
             break
         conj = _reduce_letters(conj + list(cur[:t]))
-        cur = _canonical_letters(_reduce_letters(cur[t:] + cur[:t]))
+        cur = normal_letters(cur[t:] + cur[:t])
     return CyclicReduction(NormalForm(Word(n, cur)), Word(n, tuple(conj)))
 
 

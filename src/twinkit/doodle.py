@@ -59,22 +59,33 @@ class Permutation:
         return len(self.cycles())
 
 
-def permutation_of(w: Word) -> Permutation:
-    """Image of the word under s_i -> (i, i+1); a homomorphism to S_n."""
-    images = list(range(1, w.n + 1))
-    for x in w.letters:
+def _permutation(letters, strands: int) -> Permutation:
+    images = list(range(1, strands + 1))
+    for x in letters:
         images[x - 1], images[x] = images[x], images[x - 1]
     return Permutation(tuple(images))
 
 
+def permutation_of(w: Word) -> Permutation:
+    """Image of the word under s_i -> (i, i+1); a homomorphism to S_n."""
+    return _permutation(w.letters, w.n)
+
+
+def _touched_strands(w: Word) -> Permutation:
+    # The permutation of strands 1..m+1, m the highest letter: every strand
+    # above them is a fixed point, so the cost follows the letters, not n.
+    return _permutation(w.letters, max(w.letters, default=0) + 1)
+
+
 def is_pure(w: Word) -> bool:
     """Whether the word lies in the kernel of the strand permutation."""
-    return permutation_of(w).is_identity()
+    return _touched_strands(w).is_identity()
 
 
 def closure_components(w: Word) -> int:
     """Number of closed curves in the closure: cycles of the permutation."""
-    return permutation_of(w).cycle_count()
+    perm = _touched_strands(w)
+    return perm.cycle_count() + w.n - len(perm.images)
 
 
 @dataclasses.dataclass(frozen=True)

@@ -25,6 +25,7 @@ everything here is safe for unrestricted concurrent use.
 from __future__ import annotations
 
 import dataclasses
+import heapq
 
 
 def commutes(a: int, b: int) -> bool:
@@ -151,37 +152,91 @@ def _reduce_letters(letters, moves: list[Move] | None = None) -> list[int]:
     return out
 
 
-def _canonical_letters(letters, moves: list[Move] | None = None) -> tuple[int, ...]:
-    # Greedy trace normal form of a reduced word: repeatedly emit the least
-    # letter that commutes with everything before it (``seen[x] == t``: s_x
-    # occurs earlier in the remainder during pick t).  ``moves`` receives the
-    # flips that carry each pick to the front of the remainder.  The inner
-    # loop counts positions by hand: it is the hot path of ball enumeration,
-    # and ``enumerate`` costs about a tenth more there.
-    rem = list(letters)
-    if not rem:
-        return ()
-    top = max(rem) + 1
-    seen = [-1] * (top + 1)
+# Below this many letters one insertion pass beats building the heap; the
+# crossover was measured at n = 6-64 (see CHANGES.md).
+_HEAP_CUTOFF = 48
+
+
+def _insertion_letters(letters) -> tuple[int, ...]:
+    # Reduce and normalise in one pass, keeping ``out`` in normal form.  An
+    # incoming x walks back through the letters it commutes with; if the
+    # letter that stops it is x, the two cancel (x was a maximal piece),
+    # otherwise x settles before the leftmost larger letter it passed.
+    # Adding or deleting a maximal piece leaves the greedy order of the
+    # other pieces unchanged, so ``out`` stays lex-least.
     out: list[int] = []
-    for t in range(len(rem)):
-        best = top
-        best_pos = pos = 0
-        for x in rem:
-            if x < best and seen[x - 1] != t and seen[x] != t and seen[x + 1] != t:
-                best = x
-                best_pos = pos
-            seen[x] = t
-            pos += 1
-        if moves is not None:
-            moves.extend(Move("flip", j) for j in range(t + best_pos - 1, t - 1, -1))
-        out.append(rem.pop(best_pos))
+    for x in letters:
+        k = len(out) - 1
+        at = k + 1
+        while k >= 0:
+            y = out[k]
+            if y - x > 1:
+                at = k
+            elif x - y < 2:
+                break
+            k -= 1
+        if k >= 0 and out[k] == x:
+            del out[k]
+        else:
+            out.insert(at, x)
+    return tuple(out)
+
+
+def _heap_letters(letters) -> tuple[int, ...]:
+    # Heap of pieces (Viennot 1986): one stack of live piece ids (input
+    # positions) per generator.  An incoming x cancels the top of column x
+    # when no live x-1 or x+1 lies above it, which is the letter the backward
+    # scan of ``_reduce_letters`` reaches; otherwise it is pushed.  The live
+    # pieces of columns x-1, x, x+1 are totally ordered by id, so the lowest
+    # unemitted piece of column y is ready once it lies below the lowest
+    # unemitted pieces of y-1 and y+1.  Kahn's sort with a min-heap of ready
+    # columns then emits the lex-least order; two neighbouring columns are
+    # never ready together, so a column is queued at most once.  Every
+    # column sits on the sentinel id -1.
+    stacks: dict[int, list[int]] = {}
+    get = stacks.get
+    bottom = (-1,)
+    for i, x in enumerate(letters):
+        s = get(x)
+        if s is None:
+            stacks[x] = [-1, i]
+        elif s[-1] > get(x - 1, bottom)[-1] and s[-1] > get(x + 1, bottom)[-1]:
+            s.pop()
+        else:
+            s.append(i)
+    # Turn each column [-1, a_1, ..., a_k] into [end, a_k, ..., a_1], so
+    # ``pop`` yields its lowest piece and an emptied column reads ``end``,
+    # an id above every piece.
+    end = len(letters)
+    for s in stacks.values():
+        s[0] = end
+        s[1:] = s[:0:-1]
+    done = (end,)
+    ready = [
+        y
+        for y, s in stacks.items()
+        if s[-1] < get(y - 1, done)[-1] and s[-1] < get(y + 1, done)[-1]
+    ]
+    heapq.heapify(ready)
+    out: list[int] = []
+    while ready:
+        y = heapq.heappop(ready)
+        out.append(y)
+        stacks[y].pop()
+        for z in (y - 1, y, y + 1):
+            s = get(z)
+            if s is not None and s[-1] < get(z - 1, done)[-1] and s[-1] < get(z + 1, done)[-1]:
+                heapq.heappush(ready, z)
     return tuple(out)
 
 
 def normal_letters(letters) -> tuple[int, ...]:
-    """Canonical letter tuple of the element spelled by ``letters``."""
-    return _canonical_letters(_reduce_letters(letters))
+    """Canonical letter tuple of the element spelled by ``letters``: the
+    lex-least reduced word, in O(L log L) (one insertion pass for short
+    words)."""
+    if len(letters) < _HEAP_CUTOFF:
+        return _insertion_letters(letters)
+    return _heap_letters(letters)
 
 
 def reduce(w: Word) -> NormalForm:
@@ -189,10 +244,23 @@ def reduce(w: Word) -> NormalForm:
     return NormalForm(Word(w.n, normal_letters(w.letters)))
 
 
+def _last_occurrences(letters) -> dict[int, int] | None:
+    # Last position of each letter, or None for an unreduced word: one where
+    # some s_x meets its previous occurrence with no s_{x-1} or s_{x+1} in
+    # between (the first cancellation of the reduction scan).
+    last: dict[int, int] = {}
+    get = last.get
+    for i, x in enumerate(letters):
+        p = get(x, -1)
+        if p > get(x - 1, -1) and p > get(x + 1, -1):
+            return None
+        last[x] = i
+    return last
+
+
 def is_reduced(w: Word) -> bool:
-    """Whether no chain of elementary transformations shortens ``w``: the
-    reduction scan cancels nothing."""
-    return len(_reduce_letters(w.letters)) == len(w.letters)
+    """Whether no chain of elementary transformations shortens ``w``."""
+    return _last_occurrences(w.letters) is not None
 
 
 def equal(u: Word, v: Word) -> bool:
@@ -210,12 +278,12 @@ def flip_equivalent(u: Word, v: Word) -> bool:
         raise ValueError("flip equivalence is only defined for reduced words")
     if len(u.letters) != len(v.letters):
         return False
-    return _canonical_letters(u.letters) == _canonical_letters(v.letters)
+    return normal_letters(u.letters) == normal_letters(v.letters)
 
 
 def support(w: Word) -> frozenset[int]:
     """Set of generator indices appearing in the reduced form of ``w``."""
-    return frozenset(_reduce_letters(w.letters))
+    return frozenset(normal_letters(w.letters))
 
 
 def parity_vector(w: Word) -> tuple[int, ...]:
@@ -290,20 +358,35 @@ class MoveCertificate:
         return "; ".join(str(m) for m in self.moves) if self.moves else "(empty)"
 
 
+def _sort_moves(reduced: list[int], moves: list[Move]) -> tuple[int, ...]:
+    # Flips carrying a reduced word to its normal form.  The i-th s_x of one
+    # is the i-th s_x of the other, so each normal-form letter in turn is the
+    # first equal letter among those not yet emitted, and it is flipped from
+    # there to the front of the remainder.
+    normal = normal_letters(reduced)
+    rem = list(reduced)
+    for t, x in enumerate(normal):
+        pos = rem.index(x)
+        del rem[pos]
+        moves.extend(Move("flip", j) for j in range(t + pos - 1, t - 1, -1))
+    return normal
+
+
 def certificate(u: Word, v: Word) -> MoveCertificate:
     """Explicit elementary-transformation chain turning ``u`` into ``v``.
 
-    The reduction and normal-form scans record their moves while driving
-    both words to the shared normal form; the v-side moves are then inverted
-    and reversed, so replaying the chain on ``u`` yields exactly the letter
-    sequence of ``v``.  The chain has O(L^2) moves for words of length L.
+    For each word the reduction scan records its cancellations, followed by
+    the flips that sort the reduced word into the shared normal form; the
+    v-side moves are then inverted and reversed, so replaying the chain on
+    ``u`` yields exactly the letter sequence of ``v``.  The chain has
+    O(L^2) moves for words of length L.
     """
     if u.n != v.n:
         raise ValueError(f"strand counts differ: {u.n} vs {v.n}")
     forward: list[Move] = []
     backward: list[Move] = []
-    nu = _canonical_letters(_reduce_letters(u.letters, forward), forward)
-    nv = _canonical_letters(_reduce_letters(v.letters, backward), backward)
+    nu = _sort_moves(_reduce_letters(u.letters, forward), forward)
+    nv = _sort_moves(_reduce_letters(v.letters, backward), backward)
     if nu != nv:
         raise ValueError("words are not equal as group elements")
     inverted = [

@@ -5,10 +5,14 @@ All group computations are exact, so every comparison is equality; the
 stated wall-clock budgets are asserted as upper bounds.
 """
 
+import contextlib
+import io
 import itertools
+import json
 import random
 import time
 
+from twinkit import cli
 from twinkit.conjugacy import conjugate, is_cyclically_reduced
 from twinkit.doodle import render_svg
 from twinkit.endomorphisms import (
@@ -264,3 +268,23 @@ def test_criterion_12_rendering_determinism():
             second = render_svg(w, mode).encode()
             assert first == second
     clock.done()
+
+
+def test_long_words_do_not_hang():
+    # the normal form costs O(L log L) and the rotation check O(L), so
+    # 10^5 letters reduce and 2 * 10^4 letters cyclically reduce in well
+    # under a second; a quadratic scan would take about a minute
+    rng = random.Random(20261018)
+    for cmd, n, length in (("reduce", 64, 10**5), ("cyclic-reduce", 16, 2 * 10**4)):
+        clock = _Clock(f"{cmd} of {length} letters on {n} strands", 10)
+        text = " ".join(f"s{rng.randrange(1, n)}" for _ in range(length))
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = cli.main(["--output", "json", cmd, "--n", str(n), text])
+        clock.done()
+        assert code == 0
+        rep = Word.parse(n, json.loads(out.getvalue())["normal_form"])
+        assert 0 < len(rep) < length
+        assert is_reduced(rep)
+        if cmd == "cyclic-reduce":
+            assert is_cyclically_reduced(rep)

@@ -244,3 +244,19 @@ def test_huge_strand_count_matches_small(capsys, argv, output):
         assert code == 0
         outputs.append(capsys.readouterr())
     assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("word", ["e", "s1 s2 s1 s2 s1 s2", "s1 s2 s1 s4 s4"])
+def test_pure_and_components_at_huge_strand_count(capsys, word):
+    # both work on the strands the letters touch; the rest are fixed points
+    huge = 10**18
+    for output in ("text", "json"):
+        outputs = []
+        for n in (5, huge):
+            assert main(["--output", output, "pure", "--n", str(n), word]) == 0
+            outputs.append(capsys.readouterr())
+        assert outputs[0] == outputs[1]
+    _, small = run_json(capsys, "components", "--n", "5", word)
+    code, payload = run_json(capsys, "components", "--n", str(huge), word)
+    assert code == 0
+    assert payload["verdict"] == small["verdict"] + huge - 5

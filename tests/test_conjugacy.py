@@ -5,13 +5,24 @@ import random
 import pytest
 
 from twinkit.conjugacy import (
+    _first_unreduced_rotation,
     conjugate,
     conjugating_witness,
     cyclic_reduce,
     is_cyclically_reduced,
 )
 from twinkit.oracle import conjugator_search
-from twinkit.words import Word, equal, inverse, is_reduced, multiply, reduce, support
+from twinkit.words import (
+    Word,
+    _reduce_letters,
+    commutes,
+    equal,
+    inverse,
+    is_reduced,
+    multiply,
+    reduce,
+    support,
+)
 
 from util import W, all_words
 
@@ -38,6 +49,32 @@ def test_cyclic_reduce_examples():
     ]:
         cr = cyclic_reduce(W(n, w))
         assert (cr.representative.letters, cr.conjugator.letters) == (rep, conj)
+
+
+def _first_rotation_that_shortens(letters):
+    # The definition the linear rotation check replaced: the first t whose
+    # rotation the reduction scan shortens.  This t fixes the spelling of
+    # the cyclic-reduction conjugator.
+    for t in range(len(letters)):
+        if len(_reduce_letters(letters[t:] + letters[:t])) < len(letters):
+            return t
+    return None
+
+
+def test_first_unreduced_rotation_matches_reduction_scan():
+    rng = random.Random(47)
+    for _ in range(3000):
+        n = rng.randint(2, 12)
+        letters = tuple(rng.randrange(1, n) for _ in range(rng.randint(0, 40)))
+        if rng.random() < 0.6:
+            # a reduced word, respelled by flips so it is not only normal forms
+            letters = list(reduce(Word(n, letters)).letters)
+            for _ in range(len(letters)):
+                p = rng.randrange(max(len(letters) - 1, 1))
+                if p + 1 < len(letters) and commutes(letters[p], letters[p + 1]):
+                    letters[p], letters[p + 1] = letters[p + 1], letters[p]
+            letters = tuple(letters)
+        assert _first_unreduced_rotation(letters) == _first_rotation_that_shortens(letters)
 
 
 def test_cyclic_reduce_relation_holds():

@@ -1,11 +1,16 @@
 """Word representation, reduction, normal forms and certificates."""
 
+import hashlib
 import random
 
 import pytest
 
+from twinkit.conjugacy import cyclic_reduce
+from twinkit.oracle import reduced_representatives
 from twinkit.words import (
     Word,
+    _heap_letters,
+    _insertion_letters,
     certificate,
     commutes,
     equal,
@@ -240,3 +245,105 @@ def test_certificate_replay_randomized():
 def test_certificate_rejects_unequal_words():
     with pytest.raises(ValueError):
         certificate(W(3, "s1"), W(3, "s2"))
+
+
+def _flipped(rng, letters, count):
+    out = list(letters)
+    for _ in range(count if len(out) > 1 else 0):
+        p = rng.randrange(len(out) - 1)
+        if commutes(out[p], out[p + 1]):
+            out[p], out[p + 1] = out[p + 1], out[p]
+    return tuple(out)
+
+
+def test_insertion_and_heap_paths_agree():
+    # normal_letters picks one path by length, so no public call reaches
+    # both on one input: call the two private paths directly.
+    rng = random.Random(29)
+    cases = []
+    for _ in range(400):
+        n = rng.randint(2, 70)
+        u = tuple(rng.randrange(1, n) for _ in range(rng.randint(0, 300)))
+        cases.append(u)
+        # u g u^-1 with u respelled by flips: long runs of cancellations
+        g = tuple(rng.randrange(1, n) for _ in range(rng.randint(0, 10)))
+        cases.append(u + g + _flipped(rng, u, len(u))[::-1])
+    for k in (1, 2, 5, 12):
+        cases.append((tuple(range(1, 40, 2)) + tuple(range(2, 41, 2))) * k)
+        cases.append((3, 4) * k + (1,))
+        cases.append((1,) + (3, 4) * k + (1,))
+    for m in (1, 5, 20, 35):
+        run = tuple(range(1, 2 * m, 2))
+        cases += [run, run[::-1], run + run[::-1], run[::-1] + run, run * 3]
+    for letters in cases:
+        assert _insertion_letters(letters) == _heap_letters(letters), letters
+
+
+def test_both_paths_refereed_by_oracle_at_six_to_eight_strands():
+    rng = random.Random(31)
+    for _ in range(300):
+        n = rng.randint(6, 8)
+        w = Word(n, tuple(rng.randrange(1, n) for _ in range(rng.randint(0, 10))))
+        expected = min(reduced_representatives(w))
+        assert _insertion_letters(w.letters) == expected
+        assert _heap_letters(w.letters) == expected
+
+
+def _sha(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_long_word_outputs_pinned():
+    # Inputs of 60-200 letters reach the heap path; the digests were
+    # recorded with the quadratic lex-least scan this path replaced.
+    pins = [
+        (
+            16,
+            60,
+            "79663746019b819d2193b9b20ce9d781435731c62b9728f050721a334f9e6301",
+            "948d5ef420eff9fc1b9fa0226246dff97caed391b7cfa13b1a37b3aa8af9f8c9",
+            "7d8a5c47da5ce995a6d6ac8f032a044de2b4d70b5feb4a5bf4db4768255c41d2",
+        ),
+        (
+            16,
+            200,
+            "591390475f0cb2b63cf8678c2b0619cc708a801dabcaf63a05950110260e387d",
+            "5c245ae4635a059c37b941b7f32870430ebf21329cc9d1262eb465d1dda6c855",
+            "f49b3b91744357e214c839c0bfb457105476574fcb141447764d938d5f81bf4a",
+        ),
+        (
+            64,
+            90,
+            "06160ecfd2a2419e77258349156fee8b54169792e9a9a0f97840c2de58d95214",
+            "79e959cfa276d5f25ed8b38fbaa83744a8e1bd2ec0d4a792b12a84547074972d",
+            "a05a2a8d7e9a4688e2fe734bb089f96432115b119413ef8d2a01b77f3dd59427",
+        ),
+        (
+            64,
+            150,
+            "a135e350deb8763c4fe34336d1d457078a5506112d42e10e97ec1e84f4cfc02c",
+            "1b3a7827c3a0b0301bf63b8d43e7211053a4f0c918e806b61a2bc251dcd96fc1",
+            "0d24ada15551d802169b42dc2288d70ee3f66325b95380341cdf9ce8d2ab1a2b",
+        ),
+        (
+            64,
+            200,
+            "a219b964d6cf1e5b28587e05314a1b91281d95b9964c217676c73d91ab11b546",
+            "d192b9e6d121fc244aa269a5cef760cffd8a9c8d113c51fa9da16ba62ccc1dc2",
+            "3ae147c16dd0218306eed5d7d24bf7dd159896aa0fa5c7a82066c0eed514f528",
+        ),
+    ]
+    rng = random.Random(43)
+    for n, length, cert_sha, reduce_sha, cyclic_sha in pins:
+        u = [rng.randrange(1, n) for _ in range(length)]
+        v = list(u)
+        for _ in range(length // 10):
+            p = rng.randrange(len(v) + 1)
+            x = rng.randrange(1, n)
+            v[p:p] = [x, x]
+        v = _flipped(rng, v, length)
+        u, v = Word(n, tuple(u)), Word(n, v)
+        cr = cyclic_reduce(u)
+        assert _sha(str(certificate(u, v))) == cert_sha
+        assert _sha(str(reduce(u))) == reduce_sha
+        assert _sha(f"{cr.representative} / {cr.conjugator}") == cyclic_sha
