@@ -2,17 +2,18 @@
 
 Every element is conjugate to a cyclically reduced word (one whose every
 rotation is reduced), and two cyclically reduced words are conjugate iff
-they are cyclic permutations of each other modulo flips.  Rotations and
-flips interleave (a flip may straddle the wrap-around once the word has
-been rotated), so the decision explores the full orbit of the
-representative under both moves rather than the rotations of a single
-spelling.
+they are cyclic permutations of each other modulo flips.  The decision
+tests this in linear time by comparing the projections of the two
+representatives onto each non-commuting letter pair as cyclic words
+(after Crisp-Godelle-Wiest's pilings on a cylinder and Liu-Wrathall-Zeger's
+trace transpositions).  Witnesses still search the rotation+flip orbit of
+the representative, once the decision has said it contains the target;
+``oracle._orbit`` lists that orbit as the independent referee.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import functools
 
 from .words import (
     NormalForm,
@@ -91,43 +92,65 @@ def cyclic_reduce(w: Word) -> CyclicReduction:
     return CyclicReduction(NormalForm(Word(n, cur)), Word(n, tuple(conj)))
 
 
-def _orbit(start: tuple[int, ...]) -> frozenset[tuple[int, ...]]:
-    # All spellings reachable from a cyclically reduced word by rotations
-    # and flips in any interleaving; orbits of conjugate words coincide.
-    seen = {start}
-    frontier = [start]
-    while frontier:
-        nxt = []
-        for word in frontier:
-            children = [word[1:] + word[:1]]
-            for p in range(len(word) - 1):
-                if commutes(word[p], word[p + 1]):
-                    children.append(word[:p] + (word[p + 1], word[p]) + word[p + 2 :])
-            for child in children:
-                if child not in seen:
-                    seen.add(child)
-                    nxt.append(child)
-        frontier = nxt
-    return frozenset(seen)
+def _columns(letters) -> tuple[dict[int, int], dict[int, bytearray]]:
+    # Letter counts, and for each x the projection of the word onto the
+    # pair {x, x+1}, spelled 0 for x and 1 for x+1; one pass in all.
+    count: dict[int, int] = {}
+    pairs: dict[int, bytearray] = {}
+    for c in letters:
+        count[c] = count.get(c, 0) + 1
+        pairs.setdefault(c, bytearray()).append(0)
+        pairs.setdefault(c - 1, bytearray()).append(1)
+    return count, pairs
 
 
-@functools.lru_cache(maxsize=65536)
-def _orbit_key(letters: tuple[int, ...]) -> tuple[int, ...]:
-    if not letters:
-        return ()
-    return min(_orbit(letters))
+def _same_cylinder(ru: tuple[int, ...], rv: tuple[int, ...]) -> bool:
+    # Whether two cyclically reduced words differ by rotations and flips, in
+    # O(L).  A trace is fixed by its letter counts and its projections onto
+    # the non-commuting pairs {x, x+1}, and moving a prefix holding r_x
+    # letters x to the back rotates each projection by (r_x, r_{x+1}).
+    # Conversely a choice of r consistent on every pair is a downset of the
+    # heap of ru^infinity whose next period is rv.  The columns of a run of
+    # consecutive letters form a path, so feasible residues of r_x mod c_x,
+    # carried from pair to pair, decide the run; a letter alone in its run
+    # occurs once and commutes with the rest.
+    count, pu = _columns(ru)
+    count_v, pv = _columns(rv)
+    if count != count_v:
+        return False
+    feasible = None  # residues of r_x still open; None at the start of a run
+    for x in sorted(count):
+        if x + 1 not in count:
+            feasible = None
+            continue
+        p, q = pu[x], pv[x]
+        twice = p + p
+        k = twice.find(q)
+        if k < 0:
+            return False
+        # matches are k + j*period, and each period holds the same letters x
+        period = twice.find(p, 1)
+        per_x = p.count(0, 0, period)
+        alpha = p.count(0, 0, k)
+        cx, cy = count[x], count[x + 1]
+        feasible = {
+            (k - alpha + j * (period - per_x)) % cy
+            for j in range(len(p) // period)
+            if feasible is None or (alpha + j * per_x) % cx in feasible
+        }
+        if not feasible:
+            return False
+    return True
 
 
 def conjugate(u: Word, v: Word) -> bool:
-    """Conjugacy decision: cyclically reduce, then compare rotation+flip
-    orbits of the representatives."""
+    """Conjugacy decision: cyclically reduce, then test in linear time whether
+    the representatives differ by rotations and flips."""
     if u.n != v.n:
         raise ValueError(f"strand counts differ: {u.n} vs {v.n}")
     ru = cyclic_reduce(u).representative.letters
     rv = cyclic_reduce(v).representative.letters
-    if len(ru) != len(rv):
-        return False
-    return _orbit_key(ru) == _orbit_key(rv)
+    return _same_cylinder(ru, rv)
 
 
 def conjugating_witness(u: Word, v: Word) -> Word:
@@ -145,7 +168,7 @@ def conjugating_witness(u: Word, v: Word) -> Word:
     cv = cyclic_reduce(v)
     ru = cu.representative.letters
     rv = cv.representative.letters
-    if len(ru) != len(rv):
+    if not _same_cylinder(ru, rv):
         raise ValueError("words are not conjugate")
     # find g_star with rv = g_star^-1 ru g_star by searching the orbit of ru
     g_star = None

@@ -2,8 +2,10 @@
 
 ``bfs_equal`` decides the word problem by exploring the deletion+flip
 closure of each input; it never calls the stack-scan reducer, so it can
-referee it.  ``enumerate_ball`` lists all distinct elements up to a length
-cap, and the two searches walk that ball in length-then-lex order.
+referee it.  ``_orbit`` lists the rotation+flip orbit of a cyclically
+reduced word, which referees the linear conjugacy decision.
+``enumerate_ball`` lists all distinct elements up to a length cap, and the
+two searches walk that ball in length-then-lex order.
 """
 
 from __future__ import annotations
@@ -62,6 +64,33 @@ def bfs_equal(u: Word, v: Word, move_budget: int = DEFAULT_MOVE_BUDGET) -> bool:
     return not reduced_representatives(u, move_budget).isdisjoint(
         reduced_representatives(v, move_budget)
     )
+
+
+def _orbit(start: tuple[int, ...], move_budget: int = DEFAULT_MOVE_BUDGET) -> frozenset[tuple[int, ...]]:
+    """All spellings reachable from a cyclically reduced word by rotations
+    and flips in any interleaving; orbits of conjugate words coincide.
+
+    The referee for ``conjugacy.conjugate``; its size is factorial in the
+    number of commuting letters.  Raises RuntimeError once the explored
+    states exceed the budget.
+    """
+    seen = {start}
+    frontier = [start]
+    while frontier:
+        nxt = []
+        for word in frontier:
+            children = [word[1:] + word[:1]]
+            for p in range(len(word) - 1):
+                if commutes(word[p], word[p + 1]):
+                    children.append(word[:p] + (word[p + 1], word[p]) + word[p + 2 :])
+            for child in children:
+                if child not in seen:
+                    seen.add(child)
+                    nxt.append(child)
+            if len(seen) > move_budget:
+                raise RuntimeError(f"move budget {move_budget} exhausted")
+        frontier = nxt
+    return frozenset(seen)
 
 
 @dataclasses.dataclass(frozen=True)

@@ -288,3 +288,33 @@ def test_long_words_do_not_hang():
         assert is_reduced(rep)
         if cmd == "cyclic-reduce":
             assert is_cyclically_reduced(rep)
+
+
+def test_conjugacy_decision_does_not_hang():
+    # the decision is linear in the word length; the rotation+flip orbit
+    # it replaced is factorial in the number of commuting letters, and took
+    # minutes on the first pair
+    rng = random.Random(20261019)
+    commuting = [f"s{i}" for i in range(1, 61, 2)]
+    shuffled = rng.sample(commuting, len(commuting))
+    alternating = [f"s{i}" for i in range(1, 39, 2)] + [f"s{i}" for i in range(2, 39, 2)]
+    long_word = [f"s{rng.randrange(1, 64)}" for _ in range(4000)]
+    cases = (
+        (
+            9,
+            "s1 s3 s5 s7 s2 s4 s6 s8 s3 s5 s7 s2 s4 s6",
+            "s3 s4 s7 s2 s3 s5 s6 s4 s7 s1 s8 s2 s6 s5",
+            False,
+        ),
+        (61, " ".join(commuting), " ".join(["s2", "s7"] + shuffled + ["s7", "s2"]), True),
+        (40, " ".join(alternating), " ".join(alternating[11:] + alternating[:11]), True),
+        (64, " ".join(long_word), " ".join(long_word[1234:] + long_word[:1234]), True),
+    )
+    for n, u, v, expected in cases:
+        clock = _Clock(f"conjugate of {len(u.split())} letters on {n} strands", 10)
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = cli.main(["--output", "json", "conjugate", "--n", str(n), u, v])
+        clock.done()
+        assert code == 0
+        assert json.loads(out.getvalue())["verdict"] is expected

@@ -1,5 +1,6 @@
 """Cyclic reduction and the conjugacy decision."""
 
+import itertools
 import random
 
 import pytest
@@ -11,7 +12,7 @@ from twinkit.conjugacy import (
     cyclic_reduce,
     is_cyclically_reduced,
 )
-from twinkit.oracle import conjugator_search
+from twinkit.oracle import _orbit, conjugator_search
 from twinkit.words import (
     Word,
     _reduce_letters,
@@ -106,6 +107,9 @@ def test_conjugate_examples():
     u = (W(6, "s1 s2")) * (W(6, "s5 s4"))
     v = (W(6, "s1 s2") ** 2) * (W(6, "s5 s4") ** 2)
     assert not conjugate(u, v)
+    # every pair projection matches as a cyclic word, but the rotations of
+    # {s2, s3} and {s3, s4} disagree on how many s3 move to the back
+    assert not conjugate(W(6, "s1 s2 s3 s2 s3 s4"), W(6, "s1 s2 s3 s2 s4 s3"))
 
 
 def test_conjugate_mixed_strand_counts_rejected():
@@ -126,6 +130,13 @@ def test_witness_examples():
 def test_witness_rejects_non_conjugate():
     with pytest.raises(ValueError):
         conjugating_witness(W(3, "s1"), W(3, "s1 s2"))
+    # equal length and letters: rejected by the decision, not by the
+    # factorial orbit search
+    with pytest.raises(ValueError, match="not conjugate"):
+        conjugating_witness(
+            W(9, "s1 s3 s5 s7 s2 s4 s6 s8 s3 s5 s7 s2 s4 s6"),
+            W(9, "s3 s4 s7 s2 s3 s5 s6 s4 s7 s1 s8 s2 s6 s5"),
+        )
 
 
 def test_witness_valid_on_random_conjugates():
@@ -176,3 +187,61 @@ def test_minimal_length_over_class():
     for w in all_words(4, 5):
         rep = cyclic_reduce(w).representative
         assert len(rep) <= len(reduce(w))
+
+
+def _cyclically_reduced_words(n, max_len):
+    for length in range(max_len + 1):
+        for letters in itertools.product(range(1, n), repeat=length):
+            if _first_unreduced_rotation(letters) is None:
+                yield letters
+
+
+def test_conjugate_matches_orbit_referee_exhaustively():
+    # every cyclically reduced word against the first word of its orbit,
+    # and every two orbits with the same letters against each other
+    for n, max_len in ((4, 9), (5, 8), (6, 7)):
+        first_of = {}
+        for letters in _cyclically_reduced_words(n, max_len):
+            if letters not in first_of:
+                first_of.update(dict.fromkeys(_orbit(letters), letters))
+            assert conjugate(Word(n, letters), Word(n, first_of[letters]))
+        by_letters = {}
+        for rep in set(first_of.values()):
+            by_letters.setdefault(tuple(sorted(rep)), []).append(rep)
+        for reps in by_letters.values():
+            for u, v in itertools.product(reps, repeat=2):
+                assert conjugate(Word(n, u), Word(n, v)) == (u == v), (n, u, v)
+
+
+def test_conjugate_matches_orbit_referee_on_near_misses():
+    # rotation+flip walks from a representative, half of them followed by
+    # one swap of adjacent non-commuting letters, at the strand counts where
+    # far-commutation bites; the few words whose orbit outgrows the
+    # referee's budget are counted and left out
+    rng = random.Random(41)
+    negatives = too_big = 0
+    for _ in range(1500):
+        n = rng.randint(3, 9)
+        u = cyclic_reduce(Word(n, tuple(rng.randint(1, n - 1) for _ in range(rng.randint(0, 12)))))
+        u = u.representative.word
+        v = list(u.letters)
+        for _ in range(rng.randint(0, 20)):
+            p = rng.randrange(len(v)) if v else 0
+            if p + 1 < len(v) and commutes(v[p], v[p + 1]):
+                v[p], v[p + 1] = v[p + 1], v[p]
+            else:
+                v = v[1:] + v[:1]
+        swaps = [p for p in range(len(v) - 1) if abs(v[p] - v[p + 1]) == 1]
+        if swaps and rng.random() < 0.5:
+            p = rng.choice(swaps)
+            v[p], v[p + 1] = v[p + 1], v[p]
+        v = Word(n, tuple(v))
+        rv = cyclic_reduce(v).representative.letters
+        try:
+            expected = rv in _orbit(u.letters, move_budget=20_000)
+        except RuntimeError:
+            too_big += 1
+            continue
+        assert conjugate(u, v) == expected, (n, u, v)
+        negatives += not expected
+    assert too_big < 15 and negatives > 100, (too_big, negatives)

@@ -8,6 +8,7 @@ import pytest
 from twinkit.conjugacy import is_cyclically_reduced
 from twinkit.doodle import permutation_of
 from twinkit.oracle import (
+    _orbit,
     bfs_equal,
     conjugator_search,
     enumerate_ball,
@@ -29,6 +30,16 @@ def test_bfs_equal_examples():
 def test_bfs_budget_exhaustion():
     with pytest.raises(RuntimeError):
         bfs_equal(W(6, "s1 s3 s5") ** 4, W(6, "e"), move_budget=10)
+
+
+def test_orbit_sizes_and_budget():
+    # k commuting letters spell k! words; a word of non-commuting letters
+    # only rotates
+    assert len(_orbit((1, 3, 5, 7))) == 24
+    assert _orbit((1, 2, 1, 2)) == {(1, 2, 1, 2), (2, 1, 2, 1)}
+    assert _orbit(()) == {()}
+    with pytest.raises(RuntimeError):
+        _orbit(tuple(range(1, 16, 2)), move_budget=1000)
 
 
 def test_bfs_agrees_with_equal_on_balls():
