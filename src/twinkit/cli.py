@@ -172,18 +172,20 @@ def _rinfty(args, phi):
 
 
 def _endo(args, w=None):
+    if args.endo_action == "parity":
+        # the parity of the word itself, so the map is never built
+        endomorphisms.require_strands(args.n)
+        return "ok", None, None, {"parity": list(words.parity_vector(w))}
     m = endomorphisms.make_psi_n(args.n)
     if args.endo_action == "apply":
         return "ok", None, str(twisted.apply(m, w)), {}
-    if args.endo_action == "inject-test":
-        report = endomorphisms.injectivity_ball_test(m, args.radius)
-        details = {
-            "radius": args.radius,
-            "checked": report.elements_checked,
-            "counterexample": None if report.counterexample is None else str(report.counterexample),
-        }
-        return report.kernel_trivial, None, None, details
-    return "ok", None, None, {"parity": list(words.parity_vector(w))}
+    report = endomorphisms.injectivity_ball_test(m, args.radius)
+    details = {
+        "radius": args.radius,
+        "checked": report.elements_checked,
+        "counterexample": None if report.counterexample is None else str(report.counterexample),
+    }
+    return report.kernel_trivial, None, None, details
 
 
 def _ball(args):

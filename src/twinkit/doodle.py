@@ -72,9 +72,12 @@ def permutation_of(w: Word) -> Permutation:
 
 
 def _touched_strands(w: Word) -> Permutation:
-    # The permutation of strands 1..m+1, m the highest letter: every strand
-    # above them is a fixed point, so the cost follows the letters, not n.
-    return _permutation(w.letters, max(w.letters, default=0) + 1)
+    # Number the strands next to some letter in order; the rest are fixed
+    # points, so the cost follows the letters, not n.  Strands x and x+1
+    # stay adjacent, so letter x becomes the rank of strand x.
+    strands = sorted({s for x in w.letters for s in (x, x + 1)})
+    rank = {s: r for r, s in enumerate(strands, start=1)}
+    return _permutation([rank[x] for x in w.letters], len(strands))
 
 
 def is_pure(w: Word) -> bool:

@@ -8,7 +8,6 @@ is corroborated here at desk scale by kernel checks over length balls.
 from __future__ import annotations
 
 import dataclasses
-import itertools
 
 from .oracle import enumerate_ball
 from .twisted import Endomap, apply
@@ -17,10 +16,15 @@ from .words import Word, parity_vector
 S2_BIT = 1  # position of the s_2 bit in a parity vector
 
 
-def make_psi_n(n: int) -> Endomap:
-    """The co-Hopf counterexample map on n >= 3 strands."""
+def require_strands(n: int) -> None:
+    """The doubling endomorphism is defined on n >= 3 strands only."""
     if n < 3:
         raise ValueError("the doubling endomorphism needs at least 3 strands")
+
+
+def make_psi_n(n: int) -> Endomap:
+    """The co-Hopf counterexample map on n >= 3 strands."""
+    require_strands(n)
     images = tuple(
         Word(n, (2, 1, 2)) if i == 2 else Word(n, (i,)) for i in range(1, n)
     )
@@ -58,8 +62,6 @@ class NonSurjectivityReport:
 
     n: int
     generator_images_even: bool
-    sampled_words: int
-    sampled_images_even: bool
     target_bit_odd: bool
     target_outside_image: bool
 
@@ -67,26 +69,15 @@ class NonSurjectivityReport:
 def non_surjectivity_witness(m: Endomap) -> NonSurjectivityReport:
     """Certify s_2 has no preimage via the mod-2 letter-count invariant.
 
-    Every generator image has even s_2-count, the invariant is multiplicative
-    over products, and s_2 itself has odd count; sampled products double as a
-    mechanical spot check of the same fact.
+    The s_2-count mod 2 is a homomorphism to Z/2, so when every generator
+    image has even s_2-count, so does the image of every product; s_2
+    itself has odd count.  The certificate is complete as it stands.
     """
-    n = m.n
     gens_even = all(parity_vector(img)[S2_BIT] == 0 for img in m.images)
-    sampled = 0
-    sampled_even = True
-    for length in range(1, 4):
-        for letters in itertools.product(range(1, n), repeat=length):
-            sampled += 1
-            image = apply(m, Word(n, letters))
-            if parity_vector(image.word)[S2_BIT] != 0:
-                sampled_even = False
-    target_odd = parity_vector(Word(n, (2,)))[S2_BIT] == 1
+    target_odd = parity_vector(Word(m.n, (2,)))[S2_BIT] == 1
     return NonSurjectivityReport(
-        n=n,
+        n=m.n,
         generator_images_even=gens_even,
-        sampled_words=sampled,
-        sampled_images_even=sampled_even,
         target_bit_odd=target_odd,
-        target_outside_image=gens_even and sampled_even and target_odd,
+        target_outside_image=gens_even and target_odd,
     )

@@ -16,19 +16,10 @@ from __future__ import annotations
 
 import dataclasses
 
-from .words import Word, commutes, inverse, multiply, normal_letters, reduce
+from .words import Word, commutes, multiply, normal_letters, reduce
 
 M3 = "M3"
 M4 = "M4"
-
-
-@dataclasses.dataclass(frozen=True)
-class MoveKind:
-    """A single move: tag plus its parameter (conjugator for M2, index for M3/M4)."""
-
-    tag: str
-    conjugator: Word | None = None
-    index: int | None = None
 
 
 @dataclasses.dataclass(frozen=True)
@@ -206,32 +197,3 @@ def destabilize_oracle(a: Word, kind: str) -> DestabilizationResult:
                 return DestabilizationResult(True, beta, i, M4)
     return DestabilizationResult(False)
 
-
-def apply_move(a: Word, move: MoveKind) -> Word:
-    """Apply one move, adjusting the strand count for (de)stabilizations."""
-    tag = move.tag
-    if tag == "M1":
-        return m1_shift(a)
-    if tag == "M1_inverse":
-        return m1_shift_inverse(a)
-    if tag == "M2":
-        if move.conjugator is None:
-            raise ValueError("M2 needs a conjugator")
-        c = move.conjugator
-        return reduce(multiply(multiply(inverse(c), a), c)).word
-    if tag == "M3":
-        if move.index is None:
-            raise ValueError("M3 needs an index")
-        return stabilize_m3(a, move.index)
-    if tag == "M4":
-        if move.index is None:
-            raise ValueError("M4 needs an index")
-        return stabilize_m4(a, move.index)
-    if tag in ("M3_inverse", "M4_inverse"):
-        res = destabilize_m3(a) if tag == "M3_inverse" else destabilize_m4(a)
-        if not res.found:
-            raise ValueError(f"word is not {tag[:2]}-destabilizable")
-        if move.index is not None and move.index != res.index:
-            raise ValueError(f"destabilization index is {res.index}, not {move.index}")
-        return res.beta
-    raise ValueError(f"unknown move tag {tag!r}")

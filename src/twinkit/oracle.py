@@ -106,7 +106,7 @@ class Ball:
         return len(self.elements)
 
 
-def enumerate_ball(n: int, radius: int, cap: int | None = None) -> Ball:
+def enumerate_ball(n: int, radius: int) -> Ball:
     """Layered enumeration with normal-form deduplication.
 
     Every element of length k+1 is some length-k element times a generator,
@@ -114,7 +114,7 @@ def enumerate_ball(n: int, radius: int, cap: int | None = None) -> Ball:
     """
     if radius < 0:
         raise ValueError("radius must be nonnegative")
-    limit = radius_cap(n) if cap is None else cap
+    limit = radius_cap(n)
     if radius > limit:
         raise ValueError(f"radius {radius} exceeds cap {limit} for n={n}")
     layers: list[set[tuple[int, ...]]] = [{()}]

@@ -90,14 +90,18 @@ def make_inner(g: Word) -> Endomap:
     return Endomap(n, images, f"inn({g})")
 
 
+def _image_letters(phi: Endomap, letters) -> tuple[int, ...]:
+    out: list[int] = []
+    for x in letters:
+        out.extend(phi.images[x - 1].letters)
+    return normal_letters(out)
+
+
 def apply(phi: Endomap, w: Word) -> NormalForm:
     """Image of a word: substitute generator images and reduce."""
     if phi.n != w.n:
         raise ValueError(f"strand counts differ: {phi.n} vs {w.n}")
-    letters: list[int] = []
-    for x in w.letters:
-        letters.extend(phi.images[x - 1].letters)
-    return NormalForm(Word(w.n, normal_letters(letters)))
+    return NormalForm(Word(w.n, _image_letters(phi, w.letters)))
 
 
 def compose(phi: Endomap, chi: Endomap) -> Endomap:
@@ -108,27 +112,23 @@ def compose(phi: Endomap, chi: Endomap) -> Endomap:
     return Endomap(phi.n, images, f"{phi.label}*{chi.label}")
 
 
-def endo_equal(phi: Endomap, chi: Endomap) -> bool:
-    if phi.n != chi.n:
-        return False
-    return all(
-        normal_letters(a.letters) == normal_letters(b.letters)
-        for a, b in zip(phi.images, chi.images)
-    )
-
-
 def _image_key(phi: Endomap) -> tuple[tuple[int, ...], ...]:
     return tuple(normal_letters(img.letters) for img in phi.images)
 
 
+def endo_equal(phi: Endomap, chi: Endomap) -> bool:
+    return phi.n == chi.n and _image_key(phi) == _image_key(chi)
+
+
 def order_of(phi: Endomap) -> int:
-    """Least k >= 1 with phi^k the identity; errors beyond the cap."""
-    ident = identity_endomap(phi.n)
-    cur = phi
+    """Least k >= 1 with phi^k the identity; errors beyond the cap.
+
+    Powers of a validated map need no validation: only their images are followed."""
+    images = identity = tuple((i,) for i in range(1, phi.n))
     for k in range(1, ORDER_CAP + 1):
-        if endo_equal(cur, ident):
+        images = tuple(_image_letters(phi, img) for img in images)
+        if images == identity:
             return k
-        cur = compose(cur, phi)
     raise ValueError(f"order exceeds cap {ORDER_CAP}; map may have infinite order")
 
 

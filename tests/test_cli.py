@@ -146,6 +146,15 @@ def test_endo_subcommands(capsys):
     assert payload["details"]["parity"] == [1, 0]
 
 
+@pytest.mark.parametrize("action", [["parity", "s1"], ["inject-test", "--radius", "1"]])
+def test_endo_needs_three_strands(capsys, action):
+    # parity never builds the map, yet keeps its strand-count precondition
+    assert main(["endo", "--n", "2", *action]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: the doubling endomorphism needs at least 3 strands\n"
+
+
 def test_ball_counts(capsys):
     _, payload = run_json(capsys, "ball", "--n", "3", "--radius", "4", "--counts-only")
     assert payload["details"]["layer_counts"] == [1, 2, 2, 2, 2]
@@ -246,17 +255,21 @@ def test_huge_strand_count_matches_small(capsys, argv, output):
     assert outputs[0] == outputs[1]
 
 
-@pytest.mark.parametrize("word", ["e", "s1 s2 s1 s2 s1 s2", "s1 s2 s1 s4 s4"])
+@pytest.mark.parametrize(
+    "word", ["e", "s1 s2 s1 s2 s1 s2", "s1 s2 s1 s4 s4", "s1 s99999999999999999 s1"]
+)
 def test_pure_and_components_at_huge_strand_count(capsys, word):
-    # both work on the strands the letters touch; the rest are fixed points
+    # both work on the strands next to some letter; the rest are fixed points
     huge = 10**18
+    # the same closure on 5 strands, with the far strands moved together
+    small_word = {"s1 s99999999999999999 s1": "s1 s3 s1"}.get(word, word)
     for output in ("text", "json"):
         outputs = []
-        for n in (5, huge):
-            assert main(["--output", output, "pure", "--n", str(n), word]) == 0
+        for n, text in ((5, small_word), (huge, word)):
+            assert main(["--output", output, "pure", "--n", str(n), text]) == 0
             outputs.append(capsys.readouterr())
         assert outputs[0] == outputs[1]
-    _, small = run_json(capsys, "components", "--n", "5", word)
+    _, small = run_json(capsys, "components", "--n", "5", small_word)
     code, payload = run_json(capsys, "components", "--n", str(huge), word)
     assert code == 0
     assert payload["verdict"] == small["verdict"] + huge - 5

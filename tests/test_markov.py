@@ -7,8 +7,6 @@ import pytest
 from twinkit.markov import (
     M3,
     M4,
-    MoveKind,
-    apply_move,
     destabilize_m3,
     destabilize_m4,
     destabilize_oracle,
@@ -168,30 +166,11 @@ def test_case_analysis_matches_oracle_randomized_longer():
                 assert mine.index == ref.index and equal(mine.beta, ref.beta)
 
 
-def test_apply_move_conjugation():
-    out = apply_move(W(3, "s1"), MoveKind("M2", conjugator=W(3, "s2")))
-    assert out.letters == (2, 1, 2)
-
-
-def test_apply_move_shift_and_stabilizations():
-    assert apply_move(W(4, "s1 s2"), MoveKind("M1")).letters == (2, 3)
-    assert apply_move(W(3, "s1 s2") ** 3, MoveKind("M4", index=2)).letters == (2, 3) * 3 + (1, 2, 1)
-    stab = apply_move(W(3, "s2"), MoveKind("M3", index=1))
-    back = apply_move(stab, MoveKind("M3_inverse"))
-    assert equal(back, W(3, "s2"))
-
-
-def test_apply_move_errors():
-    with pytest.raises(ValueError):
-        apply_move(W(3, "s1"), MoveKind("M2"))
-    with pytest.raises(ValueError):
-        apply_move(W(3, "s1"), MoveKind("M3"))
-    with pytest.raises(ValueError):
-        apply_move(W(4, "s3 s2 s3 s2 s3"), MoveKind("M3_inverse"))
-    with pytest.raises(ValueError):
-        apply_move(W(4, "s1 s2 s3 s2 s3"), MoveKind("M3_inverse", index=1))
-    with pytest.raises(ValueError):
-        apply_move(W(3, "s1"), MoveKind("M9"))
+def test_m3_stabilize_destabilize_round_trip():
+    stab = stabilize_m3(W(3, "s2"), 1)
+    back = destabilize_m3(stab)
+    assert back.found and back.index == 1
+    assert equal(back.beta, W(3, "s2"))
 
 
 def test_destabilize_needs_three_strands():

@@ -128,7 +128,6 @@ def test_ball_radius_cap():
         enumerate_ball(5, 9)
     with pytest.raises(ValueError):
         enumerate_ball(6, 7)
-    assert len(enumerate_ball(6, 7, cap=7)) > 0  # explicit override
 
 
 def test_ball_projection_sanity():

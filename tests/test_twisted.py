@@ -7,6 +7,7 @@ import pytest
 
 from twinkit.oracle import twisted_witness_search
 from twinkit.twisted import (
+    ORDER_CAP,
     Endomap,
     apply,
     compose,
@@ -72,6 +73,36 @@ def test_orders():
 def test_order_cap_signals_infinite_order():
     with pytest.raises(ValueError):
         order_of(make_inner(W(3, "s1 s2")))
+
+
+def _order_by_composition(phi):
+    # the definition: compose whole maps until the identity map comes back
+    ident = identity_endomap(phi.n)
+    cur = phi
+    for k in range(1, ORDER_CAP + 1):
+        if endo_equal(cur, ident):
+            return k
+        cur = compose(cur, phi)
+    raise ValueError("order exceeds cap")
+
+
+def test_order_of_matches_composition_definition():
+    checked = 0
+    for n in range(3, 8):
+        maps = list(outer_closure(n)) + [identity_endomap(n)]
+        for letters in itertools.product(range(1, n), repeat=2):
+            inner = make_inner(Word(n, letters))
+            maps += [inner, compose(inner, make_psi(n))]
+        for phi in maps:
+            try:
+                expected = _order_by_composition(phi)
+            except ValueError:
+                with pytest.raises(ValueError):
+                    order_of(phi)
+            else:
+                assert order_of(phi) == expected, phi.label
+            checked += 1
+    assert checked == 217
 
 
 def test_inner_maps_have_finite_order_when_conjugator_is_involution():
