@@ -42,8 +42,6 @@ def _parse_map(n: int, name: str) -> twisted.Endomap:
                 raise CliError("tau is only defined on 4 strands")
             factors.append(twisted.make_tau())
         elif token == "kappa":
-            if n < 5:
-                raise CliError("kappa needs at least 5 strands")
             factors.append(twisted.make_kappa(n))
         elif token == "id":
             factors.append(twisted.identity_endomap(n))

@@ -26,13 +26,6 @@ class Permutation:
         if sorted(self.images) != list(range(1, len(self.images) + 1)):
             raise ValueError(f"not a permutation of 1..{len(self.images)}: {self.images}")
 
-    @classmethod
-    def identity(cls, n: int) -> Permutation:
-        return cls(tuple(range(1, n + 1)))
-
-    def __call__(self, x: int) -> int:
-        return self.images[x - 1]
-
     def __mul__(self, other: Permutation) -> Permutation:
         # (p * q)(x) = p(q(x))
         return Permutation(tuple(self.images[q - 1] for q in other.images))

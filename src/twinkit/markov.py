@@ -6,17 +6,22 @@ A twin on n+1 strands is a stabilization when it factors as
     M4:  (I x beta) s_1 s_2 ... s_{i-1} s_i s_{i-1} ... s_2  s_1
 
 for some beta on n strands and 1 <= i <= n.  ``destabilize_m3`` decides the
-first form by case analysis on how many times the top generator occurs in
-the reduced word; ``destabilize_oracle`` decides both forms independently
-through parabolic membership, exploiting that each chain word is a
-palindrome of involutions and hence its own inverse.
+first form through the parabolic factorization a = p m (Bjorner-Brenti,
+*Combinatorics of Coxeter Groups*, 2.4): p lies in P = <s_1 .. s_{n-1}> and
+m is the shortest element of the coset P a.  A chain's only left descent is
+s_n, so it is shortest in its coset; by uniqueness a is a stabilization iff
+m is a chain, and then beta = p.  The paper's count of s_n (once when i = n,
+twice otherwise) is a corollary, since p holds none.  ``destabilize_oracle``
+decides both forms independently through parabolic membership, exploiting
+that each chain word is a palindrome of involutions and hence its own
+inverse.
 """
 
 from __future__ import annotations
 
 import dataclasses
 
-from .words import Word, commutes, multiply, normal_letters, reduce
+from .words import Word, multiply, normal_letters, reduce
 
 M3 = "M3"
 M4 = "M4"
@@ -83,77 +88,30 @@ def stabilize_m4(b: Word, i: int) -> Word:
     return Word(b.n + 1, tuple(x + 1 for x in b.letters) + chain.letters)
 
 
-def _eject_foreign_letters(prefix: list[int], span: list[int], suffix: list[int], top: int) -> None:
-    # Letters commuting with the top generator may leave the span between its
-    # two occurrences: leftwards when non-commuting material follows them,
-    # rightwards otherwise.  Iterate to a fixpoint; chain letters stay locked
-    # between non-commuting neighbours.
-    moved = True
-    while moved:
-        moved = False
-        for k, x in enumerate(span):
-            if x == top - 1:
-                continue
-            right_clear = all(commutes(x, y) for y in span[k + 1 :])
-            if right_clear:
-                del span[k]
-                suffix.insert(0, x)
-                moved = True
-                break
-            if all(commutes(x, y) for y in span[:k]):
-                del span[k]
-                prefix.append(x)
-                moved = True
-                break
-
-
 def destabilize_m3(a: Word) -> DestabilizationResult:
     """Decide whether ``a`` equals (beta x I) times a right chain.
 
-    Case analysis on the number of top-generator occurrences in the reduced
-    word (the count is flip-invariant, so it is well defined):
-
-    - none: impossible, every stabilized word keeps one or two;
-    - one: the chain must be the bare s_n, so everything after the single
-      s_n has to commute past it, which fails exactly when s_{n-1} follows;
-    - two: normalize the stretch between the two s_n's by ejecting the
-      letters that commute with s_n, then the remainder must spell the chain
-      interior for some i and the tail may only use s_j with j <= i-2;
-    - three or more: impossible, the extra s_n could never fold into beta.
+    Splits the normal form into m, the pieces of its heap at or above some
+    s_n, and p, the rest, in one pass; ``a`` destabilizes iff m spells a
+    chain.  A chain's pieces are totally ordered, so it has one spelling and
+    m can be compared letter by letter.  The lex-least order restricted to
+    the downset p is p's own lex-least order, so p is already beta's normal
+    form.
     """
     if a.n < 3:
         raise ValueError("destabilization needs at least 3 strands")
-    top = a.n - 1
-    rho = normal_letters(a.letters)
-    positions = [k for k, x in enumerate(rho) if x == top]
-    count = len(positions)
-    if count == 0 or count >= 3:
+    n = a.n - 1
+    core, rest, above = [], [], set()
+    for x in normal_letters(a.letters):
+        if x == n or x + 1 in above:  # marked letters always form an interval [y, n]
+            above.add(x)
+            core.append(x)
+        else:
+            rest.append(x)
+    i = n - len(core) // 2  # a chain through s_i has 2(n-i)+1 letters
+    if i < 1 or tuple(core) != m3_chain(n, i).letters:
         return DestabilizationResult(False)
-    n = top
-    if count == 1:
-        p = positions[0]
-        tail = rho[p + 1 :]
-        if (top - 1) in tail:
-            return DestabilizationResult(False)
-        beta = Word(n, normal_letters(rho[:p] + tail))
-        return DestabilizationResult(True, beta, n, M3)
-    p, q = positions
-    prefix = list(rho[:p])
-    span = list(rho[p + 1 : q])
-    suffix = list(rho[q + 1 :])
-    _eject_foreign_letters(prefix, span, suffix, top)
-    if len(span) % 2 == 0:
-        return DestabilizationResult(False)
-    i = (top - 1) - (len(span) - 1) // 2
-    if i < 1:
-        return DestabilizationResult(False)
-    interior = list(range(top - 1, i - 1, -1)) + list(range(i + 1, top))
-    if span != interior:
-        return DestabilizationResult(False)
-    if any(x > i - 2 for x in suffix):
-        return DestabilizationResult(False)
-    beta = Word(n, normal_letters(tuple(prefix) + tuple(suffix)))
-    return DestabilizationResult(True, beta, i, M3)
+    return DestabilizationResult(True, Word(n, tuple(rest)), i, M3)
 
 
 def _mirror(w: Word) -> Word:

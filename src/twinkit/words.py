@@ -54,10 +54,6 @@ class Word:
                 raise ValueError(f"letter s{x} out of range on {self.n} strands")
 
     @classmethod
-    def identity(cls, n: int) -> Word:
-        return cls(n, ())
-
-    @classmethod
     def parse(cls, n: int, text: str) -> Word:
         """Parse the s-token grammar: "s1 s2 s1", bare digits, or "e"."""
         tokens = text.split()

@@ -319,6 +319,24 @@ def test_conjugacy_decision_does_not_hang():
         assert json.loads(out.getvalue())["verdict"] is expected
 
 
+def test_destabilization_does_not_hang():
+    # one pass over the heap of the normal form (2241 letters here); the
+    # case analysis it replaced ejected letters to a fixpoint and took
+    # 17-22 s per move on a 2-vCPU VM
+    rng = random.Random(20261020)
+    n = 21
+    m3_word = list(range(20, 0, -1)) + [rng.randrange(1, 19) for _ in range(6400)] + [20]
+    for move, kind, letters in (("m3", M3, m3_word), ("m4", M4, [n - x for x in m3_word])):
+        w = Word(n, tuple(letters))
+        clock = _Clock(f"destab --move {move} of {len(w)} letters on {n} strands", 10)
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = cli.main(["--output", "json", "destab", "--n", str(n), "--move", move, str(w)])
+        clock.done()
+        assert code == 0
+        assert json.loads(out.getvalue())["verdict"] is destabilize_oracle(w, kind).found
+
+
 def test_endo_parity_does_not_build_the_map():
     # parity reads the word alone; building the doubling map validates
     # O(n^2) commuting pairs and took about 11 s at n = 3000 on a 2-vCPU VM

@@ -242,6 +242,8 @@ def test_invalid_radius_env_is_named(capsys, monkeypatch, argv, value):
         ["certificate", "s4 s1 s4 s2", "s1 s2"],
         ["cyclic-reduce", "s1 s2 s3 s2 s1"],
         ["conjugate", "s1 s2", "s2 s1", "--witness"],
+        ["destab", "--move", "m4", "s1 s2 s1"],
+        ["destab", "--move", "m3", "s1 s2"],
     ],
 )
 def test_huge_strand_count_matches_small(capsys, argv, output):

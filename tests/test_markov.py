@@ -18,7 +18,7 @@ from twinkit.markov import (
     stabilize_m4,
     tensor,
 )
-from twinkit.words import Word, equal, is_reduced, multiply, reduce
+from twinkit.words import Word, commutes, equal, is_reduced, multiply, reduce
 
 from util import W, all_words
 
@@ -113,7 +113,7 @@ def test_destabilize_oracle_examples():
 
 
 def test_letter_counts_are_flip_invariant():
-    # the case split keys on top/bottom generator counts of the reduced form
+    # the paper counts top and bottom generators in the reduced form; flips keep the counts
     rng = random.Random(41)
     for _ in range(500):
         n = rng.randint(3, 6)
@@ -164,6 +164,39 @@ def test_case_analysis_matches_oracle_randomized_longer():
             assert mine.found == ref.found
             if mine.found:
                 assert mine.index == ref.index and equal(mine.beta, ref.beta)
+
+
+def _scramble(rng, w):
+    # the same element, unreduced: insert squares, then flip commuting pairs
+    letters = list(w.letters)
+    for _ in range(rng.randint(1, 3)):
+        k = rng.randint(0, len(letters))
+        x = rng.randint(1, w.n - 1)
+        letters[k:k] = [x, x]
+    for _ in range(2 * len(letters)):
+        k = rng.randrange(len(letters) - 1)
+        if commutes(letters[k], letters[k + 1]):
+            letters[k], letters[k + 1] = letters[k + 1], letters[k]
+    return Word(w.n, tuple(letters))
+
+
+def test_destabilize_matches_oracle_on_unreduced_words():
+    # the CLI and the benchmark pass words as typed, so squares and
+    # flipped pairs must not change the decision, the index or beta
+    rng = random.Random(2027)
+    for _ in range(1500):
+        n = rng.randint(4, 9)
+        beta = Word(n - 1, tuple(rng.randint(1, n - 2) for _ in range(rng.randint(0, 12))))
+        i = rng.randint(1, n - 1)
+        stab_kind, stab = rng.choice(((M3, stabilize_m3), (M4, stabilize_m4)))
+        stabilized = _scramble(rng, stab(beta, i))
+        noise = Word(n, tuple(rng.randint(1, n - 1) for _ in range(rng.randint(0, 20))))
+        for w in (stabilized, noise):
+            for kind, destab in ((M3, destabilize_m3), (M4, destabilize_m4)):
+                mine = destab(w)
+                assert mine == destabilize_oracle(w, kind)
+                if w is stabilized and kind == stab_kind:
+                    assert mine.found and mine.index == i and equal(mine.beta, beta)
 
 
 def test_m3_stabilize_destabilize_round_trip():
