@@ -4,15 +4,17 @@
 closure of each input; it never calls the stack-scan reducer, so it can
 referee it.  ``_orbit`` lists the rotation+flip orbit of a cyclically
 reduced word, which referees the linear conjugacy decision.
-``enumerate_ball`` lists all distinct elements up to a length cap, and the
-two searches walk that ball in length-then-lex order.
+``enumerate_ball`` lists all distinct elements up to a length cap by
+growing the prefix tree of lex-least reduced words letter by letter; it
+never calls the normal form either, so its elements referee it.  The two
+searches walk that ball in length-then-lex order.
 """
 
 from __future__ import annotations
 
 import dataclasses
 
-from .words import NormalForm, Word, commutes, equal, inverse, multiply, normal_letters
+from .words import NormalForm, Word, commutes, equal, inverse, multiply
 
 DEFAULT_MOVE_BUDGET = 200_000
 
@@ -107,33 +109,44 @@ class Ball:
 
 
 def enumerate_ball(n: int, radius: int) -> Ball:
-    """Layered enumeration with normal-form deduplication.
+    """Walk of the prefix tree of normal forms, one layer per length.
 
-    Every element of length k+1 is some length-k element times a generator,
-    so extending layer by layer and keeping the words that grew is complete.
+    A word is the lex-least reduced spelling of its element iff it has no
+    factor ``b u a`` with a < b where a commutes with b and with every
+    letter of u (Anisimov–Knuth, *Inhomogeneous sorting*, 1979).  Such
+    words are closed under prefixes (a prefix of a reduced word is reduced,
+    and a factor of a prefix is a factor of the word), so every normal form
+    of length k+1 is exactly one normal form of length k followed by one
+    letter s.  To test ``w + (s,)``, walk back from the end of w over the
+    letters < s-1, which commute with s and are smaller: stopping at s
+    means s is a right descent (not reduced), stopping at a letter > s+1
+    means a smaller spelling exists (its normal form has another parent),
+    and reaching the start or stopping at s±1 keeps the word.  Every
+    element is produced once, and parents in lex order with letters in
+    increasing order give each layer already sorted.
     """
     if radius < 0:
         raise ValueError("radius must be nonnegative")
     limit = radius_cap(n)
     if radius > limit:
         raise ValueError(f"radius {radius} exceeds cap {limit} for n={n}")
-    layers: list[set[tuple[int, ...]]] = [{()}]
-    for k in range(radius):
-        grown = set()
-        for word in layers[k]:
+    layers: list[list[tuple[int, ...]]] = [[()]]
+    for _ in range(radius):
+        grown = []
+        for word in layers[-1]:
             for s in range(1, n):
-                child = normal_letters(word + (s,))
-                if len(child) == k + 1:
-                    grown.add(child)
+                k = len(word) - 1
+                while k >= 0 and word[k] < s - 1:
+                    k -= 1
+                if k < 0 or word[k] == s - 1 or word[k] == s + 1:
+                    grown.append(word + (s,))
         if not grown:
             break
         layers.append(grown)
-    elements = sorted(word for layer in layers for word in layer)
-    elements.sort(key=len)
     return Ball(
         n,
         radius,
-        tuple(NormalForm(Word(n, word)) for word in elements),
+        tuple(NormalForm(Word(n, word)) for layer in layers for word in layer),
         tuple(len(layer) for layer in layers),
     )
 

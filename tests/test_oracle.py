@@ -12,11 +12,20 @@ from twinkit.oracle import (
     bfs_equal,
     conjugator_search,
     enumerate_ball,
+    radius_cap,
     reduced_representatives,
     twisted_witness_search,
 )
 from twinkit.twisted import identity_endomap
-from twinkit.words import Word, certificate, equal, inverse, is_reduced, reduce
+from twinkit.words import (
+    Word,
+    certificate,
+    equal,
+    inverse,
+    is_reduced,
+    normal_letters,
+    reduce,
+)
 
 from util import W, all_words
 
@@ -96,13 +105,65 @@ def test_ball_layer_counts_golden():
 
 
 def test_ball_layer_counts_match_bfs_dedup():
-    classes = set()
-    for w in all_words(4, 3):
-        classes.add(min(reduced_representatives(w)))
-    by_len = [0, 0, 0, 0]
-    for rep in classes:
-        by_len[len(rep)] += 1
-    assert tuple(by_len) == enumerate_ball(4, 3).layer_counts
+    # completeness without the normal form: every word of length <= radius
+    # lands, through the closure, on a class the ball counts
+    for n, radius in ((4, 3), (5, 4), (6, 4), (7, 3)):
+        classes = set()
+        for w in all_words(n, radius):
+            classes.add(min(reduced_representatives(w)))
+        by_len = [0] * (radius + 1)
+        for rep in classes:
+            by_len[len(rep)] += 1
+        assert tuple(by_len) == enumerate_ball(n, radius).layer_counts
+
+
+def _ball_by_normal_form_dedup(n, radius):
+    # reference growth through the normal form: normalise every child,
+    # dedupe in sets, then sort
+    layers = [{()}]
+    for k in range(radius):
+        grown = set()
+        for word in layers[k]:
+            for s in range(1, n):
+                child = normal_letters(word + (s,))
+                if len(child) == k + 1:
+                    grown.add(child)
+        if not grown:
+            break
+        layers.append(grown)
+    elements = sorted(word for layer in layers for word in layer)
+    elements.sort(key=len)
+    return tuple(elements), tuple(len(layer) for layer in layers)
+
+
+def test_prefix_tree_ball_matches_normal_form_dedup():
+    for n in range(2, 9):
+        for radius in range(radius_cap(n) + 1):
+            ball = enumerate_ball(n, radius)
+            letters = tuple(nf.letters for nf in ball.elements)
+            assert (letters, ball.layer_counts) == _ball_by_normal_form_dedup(n, radius)
+
+
+def test_ball_elements_are_closure_minima():
+    # the referee that shares no code with the normal form: the lex-least
+    # word in the deletion+flip closure of each element is the element
+    for n in range(4, 9):
+        for nf in enumerate_ball(n, radius_cap(n)).elements:
+            assert nf.letters == min(reduced_representatives(nf.word))
+
+
+def test_normal_form_refereed_by_ball_at_six_to_eight_strands():
+    # the ball never calls normal_letters, so it referees it where far
+    # commutation bites: ball elements are fixed points, and random words
+    # normalise into the ball
+    rng = random.Random(31)
+    for n in (6, 7, 8):
+        ball = {nf.letters for nf in enumerate_ball(n, 6).elements}
+        for letters in ball:
+            assert normal_letters(letters) == letters
+        for _ in range(2000):
+            w = tuple(rng.randint(1, n - 1) for _ in range(rng.randint(0, 6)))
+            assert normal_letters(w) in ball
 
 
 def test_ball_invariants():
