@@ -1,27 +1,29 @@
 """Cyclic reduction and the conjugacy decision for twin groups.
 
 Every element is conjugate to a cyclically reduced word (one whose every
-rotation is reduced), and two cyclically reduced words are conjugate iff
-they are cyclic permutations of each other modulo flips.  The decision
-tests this in linear time by comparing the projections of the two
-representatives onto each non-commuting letter pair as cyclic words
-(after Crisp-Godelle-Wiest's pilings on a cylinder and Liu-Wrathall-Zeger's
-trace transpositions).  Witnesses still search the rotation+flip orbit of
-the representative, once the decision has said it contains the target;
-``oracle._orbit`` lists that orbit as the independent referee.
+rotation is reduced), reached by peeling a matching bottom and top piece
+off the heap of its normal form until none is left (Crisp-Godelle-Wiest's
+pilings).  Two cyclically reduced words are conjugate iff they are cyclic
+permutations of each other modulo flips.  The decision tests this in
+linear time by comparing the projections of the two representatives onto
+each non-commuting letter pair as cyclic words (after Crisp-Godelle-Wiest's
+pilings on a cylinder and Liu-Wrathall-Zeger's trace transpositions).
+Witnesses still search the rotation+flip orbit of the representative, once
+the decision has said it contains the target; ``oracle._orbit`` lists that
+orbit as the independent referee.
 """
 
 from __future__ import annotations
 
 import dataclasses
+from collections import deque
 
 from .words import (
     NormalForm,
     Word,
-    _last_occurrences,
-    _reduce_letters,
     commutes,
     inverse,
+    is_reduced,
     multiply,
     normal_letters,
     reduce,
@@ -41,55 +43,51 @@ class CyclicReduction:
     conjugator: Word
 
 
-def _first_unreduced_rotation(letters) -> int | None:
-    # The least t whose rotation letters[t:] + letters[:t] is unreduced, or
-    # None; 0 for an unreduced word.  For a reduced word, rotation t is
-    # unreduced iff some x has a minimal first occurrence i < t (no s_{x-1},
-    # s_x or s_{x+1} before it) and a maximal last occurrence j >= t (none
-    # after it): the rotation brings the two together across the seam.
-    last = _last_occurrences(letters)
-    if last is None:
-        return 0
-    first: dict[int, int] = {}
+def _peel(letters) -> tuple[list[int], set[int]]:
+    # Peel a reduced word as a heap of pieces: column x peels while its
+    # bottom piece lies below the bottoms of x-1 and x+1, its top piece lies
+    # above their tops, and the two are distinct, so the word is x m x^-1.
+    # Neither piece separates two pieces of x-1 or x+1, so m stays reduced;
+    # a peel changes only the columns x-1, x and x+1, so those are queued
+    # again.  Returns the peeled letters in order and the peeled positions.
+    cols: dict[int, deque[int]] = {}
     for i, x in enumerate(letters):
-        first.setdefault(x, i)
-    never = len(letters)
-    return min(
-        (
-            i + 1
-            for x, i in first.items()
-            if i < last[x]
-            and i < first.get(x - 1, never)
-            and i < first.get(x + 1, never)
-            and last[x] > last.get(x - 1, -1)
-            and last[x] > last.get(x + 1, -1)
-        ),
-        default=None,
-    )
+        cols.setdefault(x, deque()).append(i)
+    none: deque[int] = deque()
+
+    def peels(x):
+        c = cols.get(x, none)
+        return len(c) > 1 and all(
+            not d or (c[0] < d[0] and c[-1] > d[-1])
+            for d in (cols.get(x - 1, none), cols.get(x + 1, none))
+        )
+
+    work, peeled, gone = sorted(cols, reverse=True), [], set()
+    while work:
+        x = work.pop()
+        if peels(x):
+            gone.add(cols[x].popleft())
+            gone.add(cols[x].pop())
+            peeled.append(x)
+            work += (x + 1, x, x - 1)
+    return peeled, gone
 
 
 def is_cyclically_reduced(w: Word) -> bool:
-    """Whether every rotation of ``w`` is reduced."""
-    return _first_unreduced_rotation(w.letters) is None
+    """Whether every rotation of ``w`` is reduced: ``w`` is reduced and no
+    column of its heap peels (a rotation would bring the two pieces
+    together across the seam)."""
+    return is_reduced(w) and not _peel(w.letters)[0]
 
 
 def cyclic_reduce(w: Word) -> CyclicReduction:
-    """Shorten by rotating and reducing until every rotation is reduced.
-
-    Rotating by a prefix a conjugates by a, so the accumulated prefixes form
-    the conjugator.  Each round strictly shortens the word, which bounds the
-    loop by the input length.
-    """
-    n = w.n
+    """Peel matching bottom and top pieces off the heap of the normal form
+    until none is left; the peeled letters, in order, are the conjugator."""
     cur = normal_letters(w.letters)
-    conj: list[int] = []
-    while True:
-        t = _first_unreduced_rotation(cur)
-        if t is None:
-            break
-        conj = _reduce_letters(conj + list(cur[:t]))
-        cur = normal_letters(cur[t:] + cur[:t])
-    return CyclicReduction(NormalForm(Word(n, cur)), Word(n, tuple(conj)))
+    peeled, gone = _peel(cur)
+    if peeled:
+        cur = normal_letters([x for i, x in enumerate(cur) if i not in gone])
+    return CyclicReduction(NormalForm(Word(w.n, cur)), Word(w.n, normal_letters(peeled)))
 
 
 def _columns(letters) -> tuple[dict[int, int], dict[int, bytearray]]:

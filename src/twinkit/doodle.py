@@ -92,7 +92,6 @@ class ClosureSummary:
     never "not split".
     """
 
-    permutation: Permutation
     components: int
     split_certified: bool
     split_reason: int | None
@@ -112,8 +111,6 @@ def split_check(w: Word) -> ClosureSummary:
     """
     if w.n < 3:
         raise ValueError("split detection needs at least 3 strands")
-    perm = permutation_of(w)
-    components = perm.cycle_count()
     reason = None
     if _misses_some_generator(w, range(1, w.n)):
         reason = 1
@@ -125,7 +122,7 @@ def split_check(w: Word) -> ClosureSummary:
             left = destabilize_m4(w)
             if left.found and _misses_some_generator(left.beta, range(1, w.n - 1)):
                 reason = 3
-    return ClosureSummary(perm, components, reason is not None, reason)
+    return ClosureSummary(closure_components(w), reason is not None, reason)
 
 
 @dataclasses.dataclass(frozen=True)

@@ -10,7 +10,10 @@ import io
 import itertools
 import json
 import random
+import signal
 import time
+
+import pytest
 
 from twinkit import cli
 from twinkit.conjugacy import conjugate, is_cyclically_reduced
@@ -51,15 +54,31 @@ from util import W, all_words
 
 
 class _Clock:
+    # A real-time timer fails the test once the budget runs out, so a hang
+    # ends there instead of running on; done() disarms it, and so does the
+    # fixture below when a test fails first.  pytest.fail raises a
+    # BaseException, which no handler in the code under test catches.
     def __init__(self, criterion, budget):
         self.criterion = criterion
         self.budget = budget
+        signal.signal(signal.SIGALRM, self._expire)
+        signal.setitimer(signal.ITIMER_REAL, budget)
         self.start = time.perf_counter()
 
+    def _expire(self, signum, frame):
+        pytest.fail(f"{self.criterion}: over its budget of {self.budget}s")
+
     def done(self):
+        signal.setitimer(signal.ITIMER_REAL, 0)
         elapsed = time.perf_counter() - self.start
         print(f"PASS {self.criterion}: {elapsed:.1f}s (budget {self.budget}s)")
         assert elapsed < self.budget
+
+
+@pytest.fixture(autouse=True)
+def _disarm_clock():
+    yield
+    signal.setitimer(signal.ITIMER_REAL, 0)
 
 
 def test_criterion_01_word_problem_matches_bfs_oracle():
@@ -270,9 +289,9 @@ def test_criterion_12_rendering_determinism():
 
 
 def test_long_words_do_not_hang():
-    # the normal form costs O(L log L) and the rotation check O(L), so
-    # 10^5 letters reduce and 2 * 10^4 letters cyclically reduce in well
-    # under a second; a quadratic scan would take about a minute
+    # the normal form costs O(L log L) and the heap peel O(L), so 10^5
+    # letters reduce and 2 * 10^4 letters cyclically reduce in well under a
+    # second; a quadratic scan would take about a minute
     rng = random.Random(20261018)
     for cmd, n, length in (("reduce", 64, 10**5), ("cyclic-reduce", 16, 2 * 10**4)):
         clock = _Clock(f"{cmd} of {length} letters on {n} strands", 10)
@@ -287,6 +306,35 @@ def test_long_words_do_not_hang():
         assert is_reduced(rep)
         if cmd == "cyclic-reduce":
             assert is_cyclically_reduced(rep)
+
+
+def test_cyclic_reduction_of_long_conjugates_does_not_hang():
+    # w = g s5 g^-1 with |g| = 4000 peels down to s5 in one pass over the
+    # heap; the rotate-and-renormalise loop it replaced renormalised the
+    # whole word once per round and ran past 10 s (cyclic-reduce) and 15 s
+    # (conjugate --witness) on this input on a 2-vCPU VM
+    rng = random.Random(20261021)
+    n = 16
+    g = [8]  # a walk of steps +-1 spells a reduced word
+    while len(g) < 4000:
+        g.append(g[-1] + rng.choice([x for x in (-1, 1) if 0 < g[-1] + x < n]))
+    w = Word(n, tuple(g + [5] + g[::-1]))
+    s5 = W(n, "s5")
+    for cmd in (["cyclic-reduce", "--n", str(n), str(w)], ["conjugate", "--n", str(n), "s5", str(w), "--witness"]):
+        clock = _Clock(f"{cmd[0]} of {len(w)} letters on {n} strands", 10)
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = cli.main(["--output", "json"] + cmd)
+        clock.done()
+        assert code == 0
+        payload = json.loads(out.getvalue())
+        c = Word.parse(n, payload["witness"])
+        if cmd[0] == "cyclic-reduce":
+            assert payload["normal_form"] == "s5"
+            assert equal(multiply(multiply(c, s5), inverse(c)), w)
+        else:
+            assert payload["verdict"] is True
+            assert equal(multiply(multiply(c, w), inverse(c)), s5)
 
 
 def test_conjugacy_decision_does_not_hang():

@@ -257,6 +257,19 @@ def test_huge_strand_count_matches_small(capsys, argv, output):
     assert outputs[0] == outputs[1]
 
 
+@pytest.mark.parametrize("word", ["e", "s1 s2 s1 s3", "s2 s3 s2 s3 s2", "s1 s1 s4"])
+def test_split_at_huge_strand_count(capsys, word):
+    # components count the cycles of the strands next to some letter, so
+    # split never builds a permutation of all n strands
+    huge = 10**18
+    _, small = run_json(capsys, "split", "--n", "5", word)
+    code, payload = run_json(capsys, "split", "--n", str(huge), word)
+    assert code == 0
+    assert payload["verdict"] == small["verdict"]
+    assert payload["details"]["reason"] == small["details"]["reason"]
+    assert payload["details"]["components"] == small["details"]["components"] + huge - 5
+
+
 @pytest.mark.parametrize(
     "word", ["e", "s1 s2 s1 s2 s1 s2", "s1 s2 s1 s4 s4", "s1 s99999999999999999 s1"]
 )

@@ -6,7 +6,6 @@ import random
 import pytest
 
 from twinkit.conjugacy import (
-    _first_unreduced_rotation,
     conjugate,
     conjugating_witness,
     cyclic_reduce,
@@ -21,6 +20,7 @@ from twinkit.words import (
     inverse,
     is_reduced,
     multiply,
+    normal_letters,
     reduce,
     support,
 )
@@ -53,29 +53,62 @@ def test_cyclic_reduce_examples():
 
 
 def _first_rotation_that_shortens(letters):
-    # The definition the linear rotation check replaced: the first t whose
-    # rotation the reduction scan shortens.  This t fixes the spelling of
-    # the cyclic-reduction conjugator.
+    # The definition the heap peel replaced: the first t whose rotation the
+    # reduction scan shortens (0 for an unreduced word).
     for t in range(len(letters)):
         if len(_reduce_letters(letters[t:] + letters[:t])) < len(letters):
             return t
     return None
 
 
-def test_first_unreduced_rotation_matches_reduction_scan():
+def _flip_some(rng, letters):
+    letters = list(letters)
+    for _ in range(len(letters)):
+        p = rng.randrange(max(len(letters) - 1, 1))
+        if p + 1 < len(letters) and commutes(letters[p], letters[p + 1]):
+            letters[p], letters[p + 1] = letters[p + 1], letters[p]
+    return tuple(letters)
+
+
+def test_is_cyclically_reduced_matches_reduction_scan():
     rng = random.Random(47)
     for _ in range(3000):
         n = rng.randint(2, 12)
         letters = tuple(rng.randrange(1, n) for _ in range(rng.randint(0, 40)))
         if rng.random() < 0.6:
             # a reduced word, respelled by flips so it is not only normal forms
-            letters = list(reduce(Word(n, letters)).letters)
-            for _ in range(len(letters)):
-                p = rng.randrange(max(len(letters) - 1, 1))
-                if p + 1 < len(letters) and commutes(letters[p], letters[p + 1]):
-                    letters[p], letters[p + 1] = letters[p + 1], letters[p]
-            letters = tuple(letters)
-        assert _first_unreduced_rotation(letters) == _first_rotation_that_shortens(letters)
+            letters = _flip_some(rng, reduce(Word(n, letters)).letters)
+        expected = _first_rotation_that_shortens(letters) is None
+        assert is_cyclically_reduced(Word(n, letters)) == expected, (n, letters)
+
+
+def _rotate_and_renormalise(letters):
+    # The round loop the heap peel replaced, kept as the reference for the
+    # representative: rotate by the first shortening rotation and
+    # renormalise until no rotation shortens.
+    cur = normal_letters(letters)
+    while (t := _first_rotation_that_shortens(cur)) is not None:
+        cur = normal_letters(cur[t:] + cur[:t])
+    return cur
+
+
+def test_cyclic_reduce_matches_rotate_and_renormalise():
+    rng = random.Random(53)
+    for i in range(3000):
+        n = rng.randint(2, 14)
+        letters = tuple(rng.randrange(1, n) for _ in range(rng.randint(0, 16)))
+        if i % 2:
+            g = tuple(rng.randrange(1, n) for _ in range(rng.randint(1, 8)))
+            letters = g + letters + g[::-1]
+        if rng.random() < 0.3:
+            letters = _flip_some(rng, letters)
+        w = Word(n, letters)
+        cr = cyclic_reduce(w)
+        rep = cr.representative.letters
+        assert len(rep) == len(_rotate_and_renormalise(letters)), (n, letters)
+        assert _first_rotation_that_shortens(rep) is None, (n, letters)
+        c = cr.conjugator
+        assert equal(multiply(multiply(c, cr.representative.word), inverse(c)), w), (n, letters)
 
 
 def test_cyclic_reduce_relation_holds():
@@ -192,7 +225,7 @@ def test_minimal_length_over_class():
 def _cyclically_reduced_words(n, max_len):
     for length in range(max_len + 1):
         for letters in itertools.product(range(1, n), repeat=length):
-            if _first_unreduced_rotation(letters) is None:
+            if is_cyclically_reduced(Word(n, letters)):
                 yield letters
 
 
