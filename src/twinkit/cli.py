@@ -12,11 +12,11 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import os
 import sys
 
-from . import conjugacy, doodle, endomorphisms, markov, oracle, twisted, words
+# Each handler imports the module it runs, so a call loads only what it uses.
+from . import oracle, words
 from .words import Word
 
 MAX_RADIUS_ENV = "TWINKIT_MAX_RADIUS"
@@ -31,7 +31,8 @@ class _Parser(argparse.ArgumentParser):
         raise CliError(message)
 
 
-def _parse_map(n: int, name: str) -> twisted.Endomap:
+def _parse_map(n: int, name: str):
+    from . import twisted
     factors = []
     for token in name.split("*"):
         token = token.strip()
@@ -57,6 +58,7 @@ def _parse_map(n: int, name: str) -> twisted.Endomap:
 
 def _emit(output, verdict, witness, normal_form, details) -> None:
     if output == "json":
+        import json
         payload = {
             "verdict": verdict,
             "witness": witness,
@@ -95,17 +97,20 @@ def _certificate(args, u, v):
 
 
 def _cyclic_reduce(args, w):
+    from . import conjugacy
     cr = conjugacy.cyclic_reduce(w)
     return "ok", str(cr.conjugator), str(cr.representative), {"length": len(cr.representative)}
 
 
 def _conjugate(args, u, v):
+    from . import conjugacy
     verdict = conjugacy.conjugate(u, v)
     witness = str(conjugacy.conjugating_witness(u, v)) if verdict and args.witness else None
     return verdict, witness, None, {}
 
 
 def _destab(args, w):
+    from . import markov
     if args.oracle:
         res = markov.destabilize_oracle(w, markov.M3 if args.move == "m3" else markov.M4)
     else:
@@ -115,17 +120,20 @@ def _destab(args, w):
 
 
 def _stab(args, w):
+    from . import markov
     stabilize = markov.stabilize_m3 if args.move == "m3" else markov.stabilize_m4
     out = stabilize(w, args.index)
     return "ok", None, str(words.reduce(out)), {"word": str(out), "n": out.n}
 
 
 def _shift(args, w):
+    from . import markov
     out = markov.m1_shift_inverse(w) if args.inverse else markov.m1_shift(w)
     return "ok", None, str(out), {}
 
 
 def _split(args, w):
+    from . import doodle
     summary = doodle.split_check(w)
     details = {
         "reason": summary.split_reason,
@@ -136,18 +144,22 @@ def _split(args, w):
 
 
 def _components(args, w):
+    from . import doodle
     return doodle.closure_components(w), None, None, {}
 
 
 def _permutation(args, w):
+    from . import doodle
     return "ok", None, None, {"images": list(doodle.permutation_of(w).images)}
 
 
 def _pure(args, w):
+    from . import doodle
     return doodle.is_pure(w), None, None, {}
 
 
 def _aut(args, phi, w):
+    from . import twisted
     if args.action == "order":
         return twisted.order_of(phi), None, None, {}
     if w is None:
@@ -157,6 +169,7 @@ def _aut(args, phi, w):
 
 
 def _twisted(args, phi, x, y):
+    from . import twisted
     verdict = twisted.twisted_conjugate(phi, x, y, args.radius)
     norm_x, norm_y = verdict.norms
     details = {"norm_x": str(norm_x), "norm_y": str(norm_y), "radius": args.radius}
@@ -165,11 +178,13 @@ def _twisted(args, phi, x, y):
 
 
 def _rinfty(args, phi):
+    from . import twisted
     family = twisted.rinfty_witness_family(args.n, phi, args.count)
     return "ok", None, None, {"family": [str(x) for x in family]}
 
 
 def _endo(args, w=None):
+    from . import endomorphisms, twisted
     if args.endo_action == "parity":
         # the parity of the word itself, so the map is never built
         endomorphisms.require_strands(args.n)
@@ -187,19 +202,23 @@ def _endo(args, w=None):
 
 
 def _ball(args):
+    if args.counts_only:
+        counts = oracle.ball_layer_counts(args.n, args.radius)
+        return "ok", None, None, {"layer_counts": list(counts), "size": sum(counts)}
     ball = oracle.enumerate_ball(args.n, args.radius)
     details = {"layer_counts": list(ball.layer_counts), "size": len(ball)}
-    if not args.counts_only:
-        details["elements"] = [str(nf) for nf in ball.elements]
+    details["elements"] = [str(nf) for nf in ball.elements]
     return "ok", None, None, details
 
 
+_GEOMETRY_FLAGS = ("strand_spacing", "slot_height", "stroke_width")
+
+
 def _render(args, w):
-    geometry = doodle.SvgGeometry(
-        strand_spacing=args.strand_spacing,
-        slot_height=args.slot_height,
-        stroke_width=args.stroke_width,
-    )
+    from . import doodle
+    # only the geometry flags given are set on the namespace
+    given = {k: v for k, v in vars(args).items() if k in _GEOMETRY_FLAGS}
+    geometry = dataclasses.replace(doodle.DEFAULT_GEOMETRY, **given)
     svg = doodle.render_svg(w, args.mode, geometry)
     with open(args.out, "w", encoding="utf-8") as handle:
         handle.write(svg)
@@ -207,6 +226,7 @@ def _render(args, w):
 
 
 def _heisenberg_check(args):
+    from . import twisted
     report = twisted.heisenberg_counterexample()
     verdict = report.norm_a_trivial and report.norm_b_trivial and not report.conjugator_found
     return verdict, None, None, dataclasses.asdict(report)
@@ -270,7 +290,7 @@ def build_parser() -> _Parser:
     p.add_argument("--aut", type=str, required=True)
     p.add_argument("--x", type=str, required=True)
     p.add_argument("--y", type=str, required=True)
-    p.add_argument("--radius", type=int, default=twisted.DEFAULT_RADIUS)
+    p.add_argument("--radius", type=int, default=oracle.DEFAULT_RADIUS)
     p.set_defaults(run=_twisted, maps=("aut",), words=("x", "y"))
 
     p = sub.add_parser("rinfty", help="twisted-conjugacy witness family")
@@ -303,9 +323,8 @@ def build_parser() -> _Parser:
     p.add_argument("word", type=str)
     p.add_argument("--mode", choices=("diagram", "closure"), default="diagram")
     p.add_argument("-o", "--out", type=str, required=True)
-    p.add_argument("--strand-spacing", type=int, default=doodle.DEFAULT_GEOMETRY.strand_spacing)
-    p.add_argument("--slot-height", type=int, default=doodle.DEFAULT_GEOMETRY.slot_height)
-    p.add_argument("--stroke-width", type=int, default=doodle.DEFAULT_GEOMETRY.stroke_width)
+    for flag in _GEOMETRY_FLAGS:
+        p.add_argument("--" + flag.replace("_", "-"), type=int, default=argparse.SUPPRESS)
     p.set_defaults(run=_render, words=("word",))
 
     p = sub.add_parser("heisenberg-check", help="norm-converse counterexample report")

@@ -13,6 +13,7 @@ searches walk that ball in length-then-lex order.
 from __future__ import annotations
 
 import dataclasses
+from math import comb
 
 from .words import NormalForm, Word, commutes, equal, inverse, multiply
 
@@ -22,10 +23,19 @@ DEFAULT_MOVE_BUDGET = 200_000
 # enumerable at desk scale.
 _RADIUS_CAPS = {2: 10, 3: 10, 4: 10, 5: 8}
 _RADIUS_CAP_LARGE = 6
+DEFAULT_RADIUS = 6
 
 
 def radius_cap(n: int) -> int:
     return _RADIUS_CAPS.get(n, _RADIUS_CAP_LARGE)
+
+
+def _check_radius(n: int, radius: int) -> None:
+    if radius < 0:
+        raise ValueError("radius must be nonnegative")
+    limit = radius_cap(n)
+    if radius > limit:
+        raise ValueError(f"radius {radius} exceeds cap {limit} for n={n}")
 
 
 def reduced_representatives(w: Word, move_budget: int = DEFAULT_MOVE_BUDGET) -> frozenset[tuple[int, ...]]:
@@ -125,11 +135,7 @@ def enumerate_ball(n: int, radius: int) -> Ball:
     element is produced once, and parents in lex order with letters in
     increasing order give each layer already sorted.
     """
-    if radius < 0:
-        raise ValueError("radius must be nonnegative")
-    limit = radius_cap(n)
-    if radius > limit:
-        raise ValueError(f"radius {radius} exceeds cap {limit} for n={n}")
+    _check_radius(n, radius)
     layers: list[list[tuple[int, ...]]] = [[()]]
     for _ in range(radius):
         grown = []
@@ -149,6 +155,31 @@ def enumerate_ball(n: int, radius: int) -> Ball:
         tuple(NormalForm(Word(n, word)) for layer in layers for word in layer),
         tuple(len(layer) for layer in layers),
     )
+
+
+def ball_layer_counts(n: int, radius: int) -> tuple[int, ...]:
+    """``enumerate_ball(n, radius).layer_counts`` from the growth series.
+
+    For a right-angled Coxeter group 1/W(t) = sum_k c_k (-t/(1+t))^k, where
+    c_k counts the k-sets of pairwise commuting generators: here the
+    k-subsets of s1..s(n-1) with no two adjacent, so c_k = C(n-k, k)
+    (Steinberg's formula; Davis, *The Geometry and Topology of Coxeter
+    Groups*, ch. 17).  The coefficient of t^m in (-t/(1+t))^k is
+    (-1)^m C(m-1, k-1), so inverting the series to order ``radius`` takes
+    O(radius^2) exact integer operations at any n and enumerates nothing.
+    """
+    _check_radius(n, radius)
+    recip = [1] + [
+        (-1) ** m * sum(comb(n - k, k) * comb(m - 1, k - 1) for k in range(1, min(m, n // 2) + 1))
+        for m in range(1, radius + 1)
+    ]
+    counts = [1]
+    for m in range(1, radius + 1):
+        layer = -sum(recip[j] * counts[m - j] for j in range(1, m + 1))
+        if not layer:
+            break
+        counts.append(layer)
+    return tuple(counts)
 
 
 def conjugator_search(u: Word, v: Word, radius: int) -> Word | None:

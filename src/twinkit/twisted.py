@@ -14,11 +14,10 @@ import dataclasses
 import itertools
 
 from .conjugacy import conjugate
-from .oracle import twisted_witness_search
+from .oracle import DEFAULT_RADIUS, twisted_witness_search
 from .words import NormalForm, Word, normal_letters
 
 ORDER_CAP = 24
-DEFAULT_RADIUS = 6
 
 
 @dataclasses.dataclass(frozen=True)
@@ -134,7 +133,10 @@ def order_of(phi: Endomap) -> int:
 
 def norm(phi: Endomap, x: Word) -> NormalForm:
     """The product x phi(x) phi^2(x) ... phi^{k-1}(x), k the order of phi."""
-    k = order_of(phi)
+    return _norm(phi, x, order_of(phi))
+
+
+def _norm(phi: Endomap, x: Word, k: int) -> NormalForm:
     letters = list(x.letters)
     piece = x
     for _ in range(k - 1):
@@ -158,8 +160,9 @@ def twisted_conjugate(
 ) -> TwistedConjugacyVerdict:
     """Decide phi-conjugacy of x and y as far as the norm test and a
     radius-bounded witness search allow."""
-    nx = norm(phi, x)
-    ny = norm(phi, y)
+    k = order_of(phi)
+    nx = _norm(phi, x, k)
+    ny = _norm(phi, y, k)
     if not conjugate(nx.word, ny.word):
         return TwistedConjugacyVerdict("not_equivalent", None, (nx, ny))
     g = twisted_witness_search(phi, x, y, radius)

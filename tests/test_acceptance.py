@@ -9,12 +9,16 @@ import contextlib
 import io
 import itertools
 import json
+import pathlib
 import random
 import signal
+import subprocess
+import sys
 import time
 
 import pytest
 
+import twinkit
 from twinkit import cli
 from twinkit.conjugacy import conjugate, is_cyclically_reduced
 from twinkit.doodle import render_svg
@@ -398,8 +402,54 @@ def test_endo_parity_does_not_build_the_map():
     assert json.loads(out.getvalue())["details"]["parity"] == [1] + [0] * (n - 2)
 
 
-def test_public_names_resolve():
-    import twinkit
+def test_ball_counts_only_at_two_hundred_strands():
+    # the growth series gives the layer sizes without listing 9.6 * 10^10
+    # elements; enumerating the ball raised MemoryError after 12 s at radius 4
+    clock = _Clock("ball --counts-only on 200 strands at radius 6", 2)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(["--output", "json", "ball", "--n", "200", "--radius", "6", "--counts-only"])
+    clock.done()
+    assert code == 0
+    details = json.loads(out.getvalue())["details"]
+    counts = [1, 199, 19899, 1333298, 67351346, 2736330981, 93147936089]
+    assert details == {"layer_counts": counts, "size": sum(counts)}
 
+
+def _fresh_interpreter(code):
+    # the tests import every module, so a cold start needs its own process
+    src = str(pathlib.Path(twinkit.__file__).parents[1])
+    done = subprocess.run(
+        [sys.executable, "-c", f"import sys; sys.path.insert(0, {src!r})\n{code}"],
+        capture_output=True, text=True, timeout=60, check=True,
+    )
+    return done.stdout.split()
+
+
+def test_cold_start_loads_only_what_the_parser_needs():
+    loaded = _fresh_interpreter(
+        "import twinkit.cli\n"
+        "twinkit.cli.build_parser()\n"
+        "print(*sorted(m for m in sys.modules if m.split('.')[0] == 'twinkit'))"
+    )
+    assert loaded == ["twinkit", "twinkit.cli", "twinkit.oracle", "twinkit.words"]
+
+
+def test_package_namespace_is_lazy():
+    out = _fresh_interpreter(
+        "import twinkit\n"
+        "print([m for m in sys.modules if m.startswith('twinkit.')])\n"
+        "print(twinkit.conjugacy.conjugate.__module__)\n"
+        "from twinkit import *\n"
+        "print(all(globals()[name] is getattr(twinkit, name) for name in twinkit.__all__))\n"
+        "try:\n"
+        "    twinkit.no_such_name\n"
+        "except AttributeError:\n"
+        "    print('AttributeError')"
+    )
+    assert out == ["[]", "twinkit.conjugacy", "True", "AttributeError"]
+
+
+def test_public_names_resolve():
     missing = [name for name in twinkit.__all__ if not hasattr(twinkit, name)]
     assert missing == []

@@ -9,6 +9,7 @@ from twinkit.conjugacy import is_cyclically_reduced
 from twinkit.doodle import permutation_of
 from twinkit.oracle import (
     _orbit,
+    ball_layer_counts,
     bfs_equal,
     conjugator_search,
     enumerate_ball,
@@ -102,6 +103,24 @@ def test_ball_small_counts():
 def test_ball_layer_counts_golden():
     # frozen after an independent dedup through the BFS closure (below)
     assert enumerate_ball(4, 3).layer_counts == (1, 3, 5, 8)
+
+
+def test_growth_series_matches_prefix_tree_ball():
+    # the formula and the prefix tree share nothing but the radius checks
+    for n in range(2, 9):
+        for radius in range(radius_cap(n) + 1):
+            assert ball_layer_counts(n, radius) == enumerate_ball(n, radius).layer_counts
+    for n in range(9, 14):
+        assert ball_layer_counts(n, 4) == enumerate_ball(n, 4).layer_counts
+
+
+def test_growth_series_keeps_the_radius_caps():
+    for n, radius in ((3, -1), (3, radius_cap(3) + 1), (200, radius_cap(200) + 1)):
+        with pytest.raises(ValueError) as from_ball:
+            enumerate_ball(n, radius)
+        with pytest.raises(ValueError) as from_series:
+            ball_layer_counts(n, radius)
+        assert str(from_series.value) == str(from_ball.value)
 
 
 def test_ball_layer_counts_match_bfs_dedup():
