@@ -120,12 +120,13 @@ def inverse(w: Word) -> Word:
     return w.inverse()
 
 
-def _reduce_letters(letters, moves: list[Move] | None = None) -> list[int]:
+def _reduce_letters(letters, moves: list[Move] | None = None, flips=(), kind="delete") -> list[int]:
     # Left-to-right stack scan: an incoming letter cancels the nearest equal
     # letter reachable backwards through commuting letters, else is appended.
     # ``moves`` receives the flips that carry the cancelled letter up to the
-    # incoming one and the deletion of the pair, positions taken in the word
-    # ``out + rest of input``.
+    # incoming one, sliced from the table ``flips`` (``flips[p]`` flips at
+    # p), and the ``kind`` move of the pair ("insert" records the inverse),
+    # positions taken in the word ``out + rest of input``.
     out: list[int] = []
     for x in letters:
         k = len(out) - 1
@@ -140,8 +141,8 @@ def _reduce_letters(letters, moves: list[Move] | None = None) -> list[int]:
             k -= 1
         if cancel >= 0:
             if moves is not None:
-                moves.extend(Move("flip", m) for m in range(cancel, len(out) - 1))
-                moves.append(Move("delete", len(out) - 1, x))
+                moves += flips[cancel : len(out) - 1]
+                moves.append(Move(kind, len(out) - 1, x))
             del out[cancel]
         else:
             out.append(x)
@@ -354,17 +355,17 @@ class MoveCertificate:
         return "; ".join(str(m) for m in self.moves) if self.moves else "(empty)"
 
 
-def _sort_moves(reduced: list[int], moves: list[Move]) -> tuple[int, ...]:
+def _sort_moves(reduced: list[int], moves: list[Move], flips: list[Move]) -> tuple[int, ...]:
     # Flips carrying a reduced word to its normal form.  The i-th s_x of one
     # is the i-th s_x of the other, so each normal-form letter in turn is the
     # first equal letter among those not yet emitted, and it is flipped from
-    # there to the front of the remainder.
+    # there to the front of the remainder: flips at t + pos - 1 down to t.
     normal = normal_letters(reduced)
     rem = list(reduced)
     for t, x in enumerate(normal):
         pos = rem.index(x)
         del rem[pos]
-        moves.extend(Move("flip", j) for j in range(t + pos - 1, t - 1, -1))
+        moves += flips[t : t + pos][::-1]
     return normal
 
 
@@ -373,20 +374,19 @@ def certificate(u: Word, v: Word) -> MoveCertificate:
 
     For each word the reduction scan records its cancellations, followed by
     the flips that sort the reduced word into the shared normal form; the
-    v-side moves are then inverted and reversed, so replaying the chain on
-    ``u`` yields exactly the letter sequence of ``v``.  The chain has
-    O(L^2) moves for words of length L.
+    v-side moves are recorded as their inverses and reversed, so replaying
+    the chain on ``u`` yields exactly the letter sequence of ``v``.  The
+    chain has O(L^2) moves for words of length L, but its flips are shared
+    immutable objects, one per position, so building it allocates O(L)
+    moves and copies the rest as references.
     """
     if u.n != v.n:
         raise ValueError(f"strand counts differ: {u.n} vs {v.n}")
+    flips = [Move("flip", p) for p in range(max(len(u), len(v)))]
     forward: list[Move] = []
     backward: list[Move] = []
-    nu = _sort_moves(_reduce_letters(u.letters, forward), forward)
-    nv = _sort_moves(_reduce_letters(v.letters, backward), backward)
+    nu = _sort_moves(_reduce_letters(u.letters, forward, flips), forward, flips)
+    nv = _sort_moves(_reduce_letters(v.letters, backward, flips, "insert"), backward, flips)
     if nu != nv:
         raise ValueError("words are not equal as group elements")
-    inverted = [
-        Move("insert", m.pos, m.letter) if m.kind == "delete" else m
-        for m in reversed(backward)
-    ]
-    return MoveCertificate(u, v, tuple(forward + inverted))
+    return MoveCertificate(u, v, tuple(forward + backward[::-1]))

@@ -1,6 +1,8 @@
 """The command-line front end: verdicts, JSON schema, exit codes."""
 
 import json
+import pathlib
+import shlex
 
 import pytest
 
@@ -288,3 +290,38 @@ def test_pure_and_components_at_huge_strand_count(capsys, word):
     code, payload = run_json(capsys, "components", "--n", str(huge), word)
     assert code == 0
     assert payload["verdict"] == small["verdict"] + huge - 5
+
+
+def _readme_cli_lines():
+    # each `twinkit ...` line of the README's sh blocks: its argv and the text
+    # a trailing `# verdict=...` comment says the output starts with, or None
+    readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text()
+    params, in_sh = [], False
+    for line in readme.splitlines():
+        if line.startswith("```"):
+            in_sh = line == "```sh"
+        elif in_sh and line.startswith("twinkit "):
+            comment = line.partition(" # ")[2].strip()
+            expected = comment if comment.startswith("verdict=") else None
+            argv = shlex.split(line, comments=True)[1:]
+            params.append(pytest.param(argv, expected, id=" ".join(argv)))
+    return params
+
+
+_README_CLI = _readme_cli_lines()
+
+
+def test_readme_cli_block_found():
+    assert len(_README_CLI) >= 20
+    assert any(p.values[1] for p in _README_CLI)
+
+
+@pytest.mark.parametrize("argv, expected", _README_CLI)
+def test_readme_cli_line_runs(capsys, monkeypatch, tmp_path, argv, expected):
+    # render -o writes into tmp_path; the environment must not cap radii
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("TWINKIT_MAX_RADIUS", raising=False)
+    code, out = run(capsys, *argv)
+    assert code == 0
+    if expected is not None:
+        assert out.startswith(expected)
