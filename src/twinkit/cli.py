@@ -20,6 +20,7 @@ from . import oracle, words
 from .words import Word
 
 MAX_RADIUS_ENV = "TWINKIT_MAX_RADIUS"
+MAX_OUTPUT = 10**6  # longest list an answer may hold, checked before it is built
 
 
 class CliError(Exception):
@@ -102,11 +103,20 @@ def _cyclic_reduce(args, w):
     return "ok", str(cr.conjugator), str(cr.representative), {"length": len(cr.representative)}
 
 
+def _check_output(size: int, what: str) -> None:
+    if size > MAX_OUTPUT:
+        raise CliError(f"{what} would hold {size} entries, more than {MAX_OUTPUT}")
+
+
 def _conjugate(args, u, v):
     from . import conjugacy
-    verdict = conjugacy.conjugate(u, v)
-    witness = str(conjugacy.conjugating_witness(u, v)) if verdict and args.witness else None
-    return verdict, witness, None, {}
+    if not args.witness:
+        return conjugacy.conjugate(u, v), None, None, {}
+    try:
+        g = conjugacy.conjugating_witness(u, v)
+    except RuntimeError:  # conjugate, but the orbit walk ran out of budget
+        return "inconclusive", None, None, {"conjugate": True, "move_budget": oracle.DEFAULT_MOVE_BUDGET}
+    return g is not None, None if g is None else str(g), None, {}
 
 
 def _destab(args, w):
@@ -121,7 +131,9 @@ def _destab(args, w):
 
 def _stab(args, w):
     from . import markov
-    stabilize = markov.stabilize_m3 if args.move == "m3" else markov.stabilize_m4
+    m3 = args.move == "m3"
+    _check_output(2 * (w.n - args.index) + 1 if m3 else 2 * args.index - 1, "the chain")
+    stabilize = markov.stabilize_m3 if m3 else markov.stabilize_m4
     out = stabilize(w, args.index)
     return "ok", None, str(words.reduce(out)), {"word": str(out), "n": out.n}
 
@@ -150,6 +162,7 @@ def _components(args, w):
 
 def _permutation(args, w):
     from . import doodle
+    _check_output(w.n, "the permutation")
     return "ok", None, None, {"images": list(doodle.permutation_of(w).images)}
 
 

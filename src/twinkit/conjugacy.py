@@ -8,9 +8,9 @@ permutations of each other modulo flips.  The decision tests this in
 linear time by comparing the projections of the two representatives onto
 each non-commuting letter pair as cyclic words (after Crisp-Godelle-Wiest's
 pilings on a cylinder and Liu-Wrathall-Zeger's trace transpositions).
-Witnesses still search the rotation+flip orbit of the representative, once
-the decision has said it contains the target; ``oracle._orbit`` lists that
-orbit as the independent referee.
+A witness walks the rotation+flip orbit of one representative with the
+oracle's budgeted walker, once the decision has said the orbit holds the
+other; ``oracle._orbit`` lists that orbit as the independent referee.
 """
 
 from __future__ import annotations
@@ -18,10 +18,10 @@ from __future__ import annotations
 import dataclasses
 from collections import deque
 
+from .oracle import bfs_tree, rotations_and_flips
 from .words import (
     NormalForm,
     Word,
-    commutes,
     inverse,
     is_reduced,
     multiply,
@@ -151,55 +151,32 @@ def conjugate(u: Word, v: Word) -> bool:
     return _same_cylinder(ru, rv)
 
 
-def conjugating_witness(u: Word, v: Word) -> Word:
-    """Some g with g v g^-1 = u, assembled from the two cyclic-reduction
-    conjugators and the orbit path aligning the representatives.
+def conjugating_witness(u: Word, v: Word) -> Word | None:
+    """Some g with g v g^-1 = u, or None when the two are not conjugate.
 
-    A flip keeps the element, a rotation conjugates by the letter moved to
-    the back, so walking the orbit accumulates the aligning conjugator.
-    Validity is checked against the defining equation before returning.
+    g joins the two cyclic-reduction conjugators by the orbit path from one
+    representative to the other: a flip keeps the element, and a rotation
+    conjugates by the letter it moves to the back.  Raises RuntimeError past
+    the oracle's move budget.  g is checked against g v g^-1 = u.
     """
     if u.n != v.n:
         raise ValueError(f"strand counts differ: {u.n} vs {v.n}")
-    n = u.n
     cu = cyclic_reduce(u)
     cv = cyclic_reduce(v)
     ru = cu.representative.letters
     rv = cv.representative.letters
     if not _same_cylinder(ru, rv):
-        raise ValueError("words are not conjugate")
-    # find g_star with rv = g_star^-1 ru g_star by searching the orbit of ru
-    g_star = None
-    seen = {ru: ()}
-    frontier = [ru]
-    while frontier and g_star is None:
-        nxt = []
-        for word in frontier:
-            trail = seen[word]
-            children = [(word[1:] + word[:1], trail + (word[0],))] if word else []
-            for p in range(len(word) - 1):
-                if commutes(word[p], word[p + 1]):
-                    flipped = word[:p] + (word[p + 1], word[p]) + word[p + 2 :]
-                    children.append((flipped, trail))
-            for child, child_trail in children:
-                if child in seen:
-                    continue
-                seen[child] = child_trail
-                if child == rv:
-                    g_star = child_trail
-                    break
-                nxt.append(child)
-            if g_star is not None:
-                break
-        frontier = nxt
-    if g_star is None and ru != rv:
-        raise ValueError("words are not conjugate")
-    if g_star is None:
-        g_star = ()
-    letters = (
-        cu.conjugator.letters + tuple(g_star) + cv.conjugator.letters[::-1]
-    )
-    g = Word(n, normal_letters(letters))
+        return None
+    # g_star with rv = g_star^-1 ru g_star, read back along the orbit walk
+    parent = bfs_tree(ru, rotations_and_flips, target=rv)
+    g_star, word = [], rv
+    while word != ru:
+        prev = parent[word]
+        if word == prev[1:] + prev[:1]:
+            g_star.append(prev[0])
+        word = prev
+    letters = cu.conjugator.letters + tuple(g_star[::-1]) + cv.conjugator.letters[::-1]
+    g = Word(u.n, normal_letters(letters))
     check = reduce(multiply(multiply(g, v), inverse(g)))
     if check.letters != normal_letters(u.letters):
         raise AssertionError("conjugating witness failed verification")

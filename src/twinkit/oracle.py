@@ -1,12 +1,14 @@
 """Brute-force ground truth, deliberately naive and independent.
 
-``bfs_equal`` decides the word problem by exploring the deletion+flip
-closure of each input; it never calls the stack-scan reducer, so it can
-referee it.  ``_orbit`` lists the rotation+flip orbit of a cyclically
-reduced word, which referees the linear conjugacy decision.
+``bfs_tree`` is the one breadth-first walker over a move graph, with a
+move budget.  ``bfs_equal`` decides the word problem by walking the
+deletion+flip closure of each input; it never calls the stack-scan
+reducer, so it can referee it.  ``_orbit`` walks the rotation+flip orbit of
+a cyclically reduced word, which referees the linear conjugacy decision;
+``conjugacy.conjugating_witness`` walks the same moves to its target.
 ``enumerate_ball`` lists all distinct elements up to a length cap by
 growing the prefix tree of lex-least reduced words letter by letter; it
-never calls the normal form either, so its elements referee it.  The two
+never calls the normal form either, so its elements referee it.  The two witness
 searches walk that ball in length-then-lex order.
 """
 
@@ -15,7 +17,7 @@ from __future__ import annotations
 import dataclasses
 from math import comb
 
-from .words import NormalForm, Word, commutes, equal, inverse, multiply
+from .words import NormalForm, Word, equal, inverse, multiply
 
 DEFAULT_MOVE_BUDGET = 200_000
 
@@ -38,6 +40,45 @@ def _check_radius(n: int, radius: int) -> None:
         raise ValueError(f"radius {radius} exceeds cap {limit} for n={n}")
 
 
+def bfs_tree(start, neighbours, move_budget: int = DEFAULT_MOVE_BUDGET, target=None) -> dict:
+    """``{state: the state it was first reached from, None for start}``,
+    walking breadth-first through ``neighbours(state)`` in the order given.
+    Returns once ``target`` is reached; raises RuntimeError once the
+    reached states exceed the budget."""
+    parent = {start: None}
+    if start == target:
+        return parent
+    queue = [start]  # grows while the loop reads it, so states leave in order
+    for state in queue:
+        for child in neighbours(state):
+            if child not in parent:
+                parent[child] = state
+                if child == target:
+                    return parent
+                queue.append(child)
+        if len(parent) > move_budget:
+            raise RuntimeError(f"move budget {move_budget} exhausted")
+    return parent
+
+
+def _flips(word: tuple[int, ...], children: list) -> list[tuple[int, ...]]:
+    # Appends each flip of two adjacent commuting letters, left to right; the
+    # commuting test is inlined, as this runs for every state of a walk.
+    letters = list(word)
+    for p in range(len(word) - 1):
+        a, b = letters[p], letters[p + 1]
+        if a - b >= 2 or b - a >= 2:
+            letters[p], letters[p + 1] = b, a
+            children.append(tuple(letters))
+            letters[p], letters[p + 1] = a, b
+    return children
+
+
+def rotations_and_flips(word: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """The rotation moving the first letter to the back, then each commuting flip."""
+    return _flips(word, [word[1:] + word[:1]])
+
+
 def reduced_representatives(w: Word, move_budget: int = DEFAULT_MOVE_BUDGET) -> frozenset[tuple[int, ...]]:
     """All minimal-length words in the deletion+flip closure of ``w``.
 
@@ -45,26 +86,11 @@ def reduced_representatives(w: Word, move_budget: int = DEFAULT_MOVE_BUDGET) -> 
     its minimal-length layer is exactly the set of reduced words equal to
     ``w``.  Raises RuntimeError once the explored states exceed the budget.
     """
-    start = tuple(w.letters)
-    seen = {start}
-    frontier = [start]
-    while frontier:
-        nxt = []
-        for word in frontier:
-            for p in range(len(word) - 1):
-                a, b = word[p], word[p + 1]
-                if a == b:
-                    child = word[:p] + word[p + 2 :]
-                elif commutes(a, b):
-                    child = word[:p] + (b, a) + word[p + 2 :]
-                else:
-                    continue
-                if child not in seen:
-                    seen.add(child)
-                    nxt.append(child)
-        if len(seen) > move_budget:
-            raise RuntimeError(f"move budget {move_budget} exhausted")
-        frontier = nxt
+    def deletions_and_flips(word):
+        pairs = range(len(word) - 1)
+        return _flips(word, [word[:p] + word[p + 2 :] for p in pairs if word[p] == word[p + 1]])
+
+    seen = bfs_tree(tuple(w.letters), deletions_and_flips, move_budget)
     shortest = min(len(word) for word in seen)
     return frozenset(word for word in seen if len(word) == shortest)
 
@@ -83,26 +109,9 @@ def _orbit(start: tuple[int, ...], move_budget: int = DEFAULT_MOVE_BUDGET) -> fr
     and flips in any interleaving; orbits of conjugate words coincide.
 
     The referee for ``conjugacy.conjugate``; its size is factorial in the
-    number of commuting letters.  Raises RuntimeError once the explored
-    states exceed the budget.
-    """
-    seen = {start}
-    frontier = [start]
-    while frontier:
-        nxt = []
-        for word in frontier:
-            children = [word[1:] + word[:1]]
-            for p in range(len(word) - 1):
-                if commutes(word[p], word[p + 1]):
-                    children.append(word[:p] + (word[p + 1], word[p]) + word[p + 2 :])
-            for child in children:
-                if child not in seen:
-                    seen.add(child)
-                    nxt.append(child)
-            if len(seen) > move_budget:
-                raise RuntimeError(f"move budget {move_budget} exhausted")
-        frontier = nxt
-    return frozenset(seen)
+    number of commuting letters, so the walk raises RuntimeError past
+    the budget."""
+    return frozenset(bfs_tree(start, rotations_and_flips, move_budget))
 
 
 @dataclasses.dataclass(frozen=True)

@@ -457,6 +457,51 @@ def test_ball_counts_only_at_two_hundred_strands():
     assert details == {"layer_counts": counts, "size": sum(counts)}
 
 
+def _commuting_pair(k):
+    # s1 s3 ... s(2k-1) and its reversal: equal cyclic representatives
+    odd = [f"s{i}" for i in range(1, 2 * k, 2)]
+    return " ".join(odd), " ".join(reversed(odd))
+
+
+_HUGE = str(10**18)
+# Inputs that hung or crashed: the wall-clock budget each must now meet, the
+# exit code, and the JSON keys it answers with (None: one error line).
+_HANG_AND_CRASH_ROWS = [
+    # the orbit walk runs out of moves (75.7 s unbudgeted, on a 2-vCPU VM)
+    (
+        ["conjugate", "--n", "13", "s1 s3 s5 s7 s9 s11 s2 s4 s6 s8 s10 s12",
+         "s2 s4 s6 s8 s10 s12 s1 s3 s5 s7 s9 s11", "--witness"],
+        10, 2,
+        {"verdict": "inconclusive", "witness": None, "details": {"conjugate": True, "move_budget": 200_000}},
+    ),
+    # the walk starts at its target; walking the whole orbit first ran past
+    # 60 s at k = 10 on a 2-vCPU VM
+    (["conjugate", "--n", "21", *_commuting_pair(10), "--witness"], 2, 0, {"verdict": True, "witness": "e"}),
+    (["conjugate", "--n", "61", *_commuting_pair(30), "--witness"], 2, 0, {"verdict": True, "witness": "e"}),
+    # outputs of 10^18 entries are refused before they are built; a short
+    # chain at a huge --n still answers
+    (["permutation", "--n", _HUGE, "s1"], 2, 1, None),
+    (["stab", "--n", _HUGE, "--move", "m3", "--i", "1", "s1"], 2, 1, None),
+    (["stab", "--n", _HUGE, "--move", "m3", "--i", _HUGE, "s1"], 2, 0, {"verdict": "ok"}),
+]
+
+
+@pytest.mark.parametrize("argv, budget, code, expected", _HANG_AND_CRASH_ROWS)
+def test_hang_and_crash_inputs_end_within_budget(argv, budget, code, expected):
+    clock = _Clock(" ".join(argv)[:60], budget)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        got = cli.main(["--output", "json", *argv])
+    clock.done()
+    assert got == code
+    if expected is None:
+        assert out.getvalue() == ""
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+    else:
+        payload = json.loads(out.getvalue())
+        assert {key: payload[key] for key in expected} == expected
+
+
 def _fresh_interpreter(code):
     # the tests import every module, so a cold start needs its own process
     src = str(pathlib.Path(twinkit.__file__).parents[1])

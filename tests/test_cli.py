@@ -56,6 +56,16 @@ def test_conjugate_with_witness(capsys):
     assert len(g.letters) >= 1
 
 
+def test_witness_reduces_each_word_once(capsys, monkeypatch):
+    # --witness runs only the witness, which decides conjugacy on the way
+    from twinkit import conjugacy
+    calls = []
+    cyclic_reduce = conjugacy.cyclic_reduce
+    monkeypatch.setattr(conjugacy, "cyclic_reduce", lambda w: calls.append(w) or cyclic_reduce(w))
+    code, payload = run_json(capsys, "conjugate", "--n", "6", "s1 s2 s3", "s3 s2 s1", "--witness")
+    assert (code, payload["verdict"], len(calls)) == (0, True, 2)
+
+
 def test_destab_recovers_hexagon_core(capsys):
     code, payload = run_json(
         capsys, "destab", "--n", "4", "--move", "m4", "s2 s3 s2 s3 s2 s3 s1 s2 s1"
